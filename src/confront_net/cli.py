@@ -29,7 +29,8 @@ from .errors import ConfrontNetError, EmptyResult, MalformedRecord
 from .extract import (METHOD_CODES, ExtractionMethod, Scope, build_full_graph,
                       extract)
 from .graph import ConfrontGraph
-from .metrics import GraphSummary, distance_profile, summarize
+from .metrics import (DistanceProfile, GraphSummary, distance_profile,
+                      pair_distances, summarize)
 from .normalize import TABLE_VERSION, merge_equal_objects, normalization_rows
 from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
                         gexf_bytes, graphml_bytes, read_cache)
@@ -228,20 +229,34 @@ def cmd_extract(args: argparse.Namespace,
 
 def cmd_stats(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
-    profiles: list[tuple[str, ConfrontGraph]] = []
+    if args.profile and args.out is None:
+        parser.error("--profile requires --out")
     rows: list[list[str]] = []
+    profiles: list[tuple[str, DistanceProfile]] = []
+    empty: list[str] = []
+
+    def measure(label: str, g: ConfrontGraph, baseline: int | None) -> None:
+        # One hop pass feeds both the row and the profile; only the small
+        # profile outlives this graph.
+        pairs = pair_distances(g)
+        rows.append(_stats_row(label, summarize(g, baseline, pairs)))
+        if args.profile:
+            try:
+                profiles.append((label, distance_profile(g, pairs)))
+            except ConfrontNetError:
+                pass
+        if g.n == 0:
+            empty.append(label)
+
     if args.graphs is not None:
         caches = sorted(args.graphs.glob(f"*{CACHE_SUFFIX}"))
         if not caches:
             raise MalformedRecord(
                 f"no {CACHE_SUFFIX} files in {args.graphs}")
-        baseline = args.baseline
         for path in caches:
-            g = read_cache(path)
-            label = path.name[:-len(CACHE_SUFFIX)]
-            rows.append(_stats_row(label, summarize(g, baseline)))
-            profiles.append((label, g))
-        methods = [label for label, _ in profiles]
+            measure(path.name[:-len(CACHE_SUFFIX)], read_cache(path),
+                    args.baseline)
+        methods = [row[0] for row in rows]
         parameters: dict = {"baseline": args.baseline}
     else:
         if args.objects is None or args.relations is None:
@@ -253,19 +268,13 @@ def cmd_stats(args: argparse.Namespace,
                          "--objects/--relations")
         methods_ = [_method_from_args(code, args, parser) for code in codes]
         db = _load_merged(args)
-        full = build_full_graph(db)
-        rows.append(_stats_row("full", summarize(full, db.property_baseline)))
-        profiles.append(("full", full))
+        measure("full", build_full_graph(db), db.property_baseline)
         for method in methods_:
-            g = extract(db, method)
-            rows.append(_stats_row(method.code,
-                                   summarize(g, db.property_baseline)))
-            profiles.append((method.code, g))
+            measure(method.code, extract(db, method), db.property_baseline)
         methods = ["full"] + codes
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, methods, parameters)
     mhash = manifest["manifest_hash"]
-    empty = [label for label, g in profiles if g.n == 0]
     for label in empty:
         print(f"warning: graph {label!r} is empty; reporting zeros",
               file=sys.stderr)
@@ -274,25 +283,18 @@ def cmd_stats(args: argparse.Namespace,
     if args.out is not None:
         _write_manifest(manifest,
                         args.out.with_name(args.out.name + ".manifest.json"))
-    if args.profile:
-        if args.out is None:
-            parser.error("--profile requires --out")
-        for label, g in profiles:
-            profile_rows = []
-            try:
-                profile = distance_profile(g)
-            except ConfrontNetError:
-                continue
-            for b in profile.buckets:
-                h = "inf" if math.isinf(b.graph_distance) else (
-                    str(int(b.graph_distance)))
-                profile_rows.append([h, str(b.count),
-                                     _fmt_float(b.mean_spatial, 3),
-                                     _fmt_float(b.std_spatial, 3)])
-            atomic_write_bytes(
-                args.out.parent / f"profile_{label}.csv",
-                _render_csv(("graph_distance", "pairs", "mean_spatial_m",
-                             "std_spatial_m"), profile_rows, mhash))
+    for label, profile in profiles:
+        profile_rows = []
+        for b in profile.buckets:
+            h = "inf" if math.isinf(b.graph_distance) else (
+                str(int(b.graph_distance)))
+            profile_rows.append([h, str(b.count),
+                                 _fmt_float(b.mean_spatial, 3),
+                                 _fmt_float(b.std_spatial, 3)])
+        atomic_write_bytes(
+            args.out.parent / f"profile_{label}.csv",
+            _render_csv(("graph_distance", "pairs", "mean_spatial_m",
+                         "std_spatial_m"), profile_rows, mhash))
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Everything runs on the collapsed undirected simple view except density,
 which uses the directed edge count. Distances are unweighted hops;
-unreachable pairs are infinite. Spatial statistics (rank correlation,
-distance profile) consider only vertex pairs where both ends carry
-coordinates, and treat infinite hop distances as one tied block of
-maximal ranks.
+unreachable pairs are infinite. One hop pass per graph; every statistic
+derives from it: `pair_distances` runs the all-pairs search once and
+keeps only the pair vectors that d_max, d_harm, rho_d and the distance
+profile read. Spatial statistics (rank correlation, distance profile)
+consider only vertex pairs where both ends carry coordinates, and treat
+infinite hop distances as one tied block of maximal ranks.
 """
 
 from __future__ import annotations
@@ -62,6 +64,17 @@ class DistanceTable:
         return float(self.matrix[i, j])
 
 
+@dataclass(frozen=True)
+class PairDistances:
+    """The result of one hop pass, over unordered pairs i < j in vertex
+    order (the row-major upper triangle)."""
+
+    hops: np.ndarray  # every pair, float64, inf when unreachable
+    # (hops, Euclidean metres) over pairs of located vertices; None when
+    # fewer than two vertices carry coordinates.
+    located: tuple[np.ndarray, np.ndarray] | None
+
+
 def density(g: ConfrontGraph) -> float:
     if g.n < 2:
         return 0.0
@@ -85,39 +98,74 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> DistanceTable:
     return DistanceTable(ids, matrix)
 
 
-def _pair_distances(matrix: np.ndarray) -> np.ndarray:
-    """Upper-triangle entries (unordered distinct pairs)."""
-    iu = np.triu_indices(matrix.shape[0], k=1)
-    return matrix[iu]
+def pair_distances(g: ConfrontGraph) -> PairDistances:
+    """Run the all-pairs hop search once and keep the pair vectors.
+
+    Vectors are filled row by row, so no index arrays, located-vertex
+    submatrix or coordinate-difference cube is built, and the n x n
+    matrix is released when this returns.
+    """
+    matrix = all_pairs_graph_distance(g).matrix
+    n = matrix.shape[0]
+    hops = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        hops[pos:pos + n - 1 - i] = matrix[i, i + 1:]
+        pos += n - 1 - i
+    index = g.vertex_index()
+    located = [(index[v.id], v.coord) for v in g.vertices.values()
+               if v.coord is not None]
+    if len(located) < 2:
+        return PairDistances(hops, None)
+    idx = np.array([i for i, _ in located])
+    xy = np.array([c for _, c in located], dtype=float)
+    size = len(idx) * (len(idx) - 1) // 2
+    located_hops = np.empty(size)
+    metres = np.empty(size)
+    pos = 0
+    for k in range(len(idx) - 1):
+        end = pos + len(idx) - 1 - k
+        located_hops[pos:end] = matrix[idx[k], idx[k + 1:]]
+        diff = xy[k] - xy[k + 1:]
+        metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
+        pos = end
+    return PairDistances(hops, (located_hops, metres))
 
 
-def finite_diameter(g: ConfrontGraph) -> int:
-    dists = _pair_distances(all_pairs_graph_distance(g).matrix)
-    finite = dists[np.isfinite(dists)]
+def _finite_max(hops: np.ndarray) -> int:
+    finite = hops[np.isfinite(hops)]
     if finite.size == 0:
         raise NoFinitePairs("every vertex pair is disconnected")
     return int(finite.max())
 
 
-def harmonic_mean_distance(g: ConfrontGraph) -> float:
-    """P / sum(1/d) over the P unordered pairs, disconnected pairs
-    contributing zero reciprocal; inf when nothing is connected."""
-    dists = _pair_distances(all_pairs_graph_distance(g).matrix)
-    if dists.size == 0:
+def _harmonic_mean(hops: np.ndarray) -> float:
+    if hops.size == 0:
         return math.inf
     with np.errstate(divide="ignore"):
-        inv = np.where(np.isfinite(dists), 1.0 / dists, 0.0)
+        inv = np.where(np.isfinite(hops), 1.0 / hops, 0.0)
     total = float(inv.sum())
     if total == 0.0:
         return math.inf
-    return dists.size / total
+    return hops.size / total
 
 
-def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rho with average ranks for ties; infinite values rank as
-    one tied maximal block. NaN when either side is constant."""
-    rx = rankdata(np.asarray(x, dtype=float))
-    ry = rankdata(np.asarray(y, dtype=float))
+def _hop_ranks(hops: np.ndarray) -> np.ndarray:
+    """Average ranks of hop counts, infinite hops as one tied top block.
+
+    Hops are small non-negative integers, so counting replaces sorting;
+    the ranks equal `rankdata(hops)` exactly (both are exact half-integers
+    built from integer counts).
+    """
+    finite = np.isfinite(hops)
+    top = int(hops[finite].max()) + 1 if finite.any() else 0
+    codes = np.where(finite, hops, top).astype(np.intp)
+    counts = np.bincount(codes)
+    below = np.cumsum(counts) - counts
+    return (2 * below + counts + 1)[codes] * 0.5
+
+
+def _ranked_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
@@ -126,30 +174,46 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float((rx * ry).sum() / denom)
 
 
-def _coordinate_pairs(g: ConfrontGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(graph hops, Euclidean metres) over located vertex pairs."""
-    index = g.vertex_index()
-    located = [(index[v.id], v.coord) for v in g.vertices.values()
-               if v.coord is not None]
-    if len(located) < 2:
+def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rho with average ranks for ties; infinite values rank as
+    one tied maximal block. NaN when either side is constant."""
+    return _ranked_correlation(rankdata(np.asarray(x, dtype=float)),
+                               rankdata(np.asarray(y, dtype=float)))
+
+
+def _located(g: ConfrontGraph,
+             pairs: PairDistances) -> tuple[np.ndarray, np.ndarray]:
+    if pairs.located is None:
+        have = sum(1 for v in g.vertices.values() if v.coord is not None)
         raise InsufficientCoordinates(
-            f"need at least 2 located vertices, have {len(located)}")
-    idx = np.array([i for i, _ in located])
-    xy = np.array([c for _, c in located], dtype=float)
-    matrix = all_pairs_graph_distance(g).matrix[np.ix_(idx, idx)]
-    graph_d = _pair_distances(matrix)
-    diff = xy[:, None, :] - xy[None, :, :]
-    spatial = _pair_distances(np.hypot(diff[..., 0], diff[..., 1]))
-    return graph_d, spatial
+            f"need at least 2 located vertices, have {have}")
+    return pairs.located
+
+
+def _distance_correlation(graph_d: np.ndarray, spatial: np.ndarray) -> float:
+    return _ranked_correlation(_hop_ranks(graph_d), rankdata(spatial))
+
+
+def finite_diameter(g: ConfrontGraph) -> int:
+    return _finite_max(pair_distances(g).hops)
+
+
+def harmonic_mean_distance(g: ConfrontGraph) -> float:
+    """P / sum(1/d) over the P unordered pairs, disconnected pairs
+    contributing zero reciprocal; inf when nothing is connected."""
+    return _harmonic_mean(pair_distances(g).hops)
 
 
 def spearman_distance_correlation(g: ConfrontGraph) -> float:
-    graph_d, spatial = _coordinate_pairs(g)
-    return rank_correlation(graph_d, spatial)
+    return _distance_correlation(*_located(g, pair_distances(g)))
 
 
-def distance_profile(g: ConfrontGraph) -> DistanceProfile:
-    graph_d, spatial = _coordinate_pairs(g)
+def distance_profile(g: ConfrontGraph,
+                     pairs: PairDistances | None = None) -> DistanceProfile:
+    """Mean and std of the spatial distance per hop count; `pairs`, when
+    given, is the graph's `pair_distances` result, reused as is."""
+    graph_d, spatial = _located(
+        g, pairs if pairs is not None else pair_distances(g))
     buckets: list[ProfileBucket] = []
     finite_mask = np.isfinite(graph_d)
     for h in sorted(set(graph_d[finite_mask].tolist())):
@@ -166,8 +230,10 @@ def distance_profile(g: ConfrontGraph) -> DistanceProfile:
     return DistanceProfile(tuple(buckets))
 
 
-def summarize(g: ConfrontGraph, baseline: int | None = None) -> GraphSummary:
-    """The full statistic row for one graph.
+def summarize(g: ConfrontGraph, baseline: int | None = None,
+              pairs: PairDistances | None = None) -> GraphSummary:
+    """The full statistic row for one graph, from one hop pass (`pairs`,
+    when given, is the graph's `pair_distances` result, reused as is).
 
     Degenerate cases collapse to zeros: a graph with no finite pair has
     d_max 0, fewer than two vertices give d_harm 0, fewer than two
@@ -180,15 +246,15 @@ def summarize(g: ConfrontGraph, baseline: int | None = None) -> GraphSummary:
             n=g.n, m=g.m, delta=0.0, property_count=properties,
             property_coverage=coverage, components=len(g.components()),
             d_max=0, d_harm=0.0, rho_d=math.nan)
+    if pairs is None:
+        pairs = pair_distances(g)
     try:
-        d_max = finite_diameter(g)
+        d_max = _finite_max(pairs.hops)
     except NoFinitePairs:
         d_max = 0
-    try:
-        rho = spearman_distance_correlation(g)
-    except InsufficientCoordinates:
-        rho = math.nan
+    rho = (math.nan if pairs.located is None
+           else _distance_correlation(*pairs.located))
     return GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),
-        d_max=d_max, d_harm=harmonic_mean_distance(g), rho_d=rho)
+        d_max=d_max, d_harm=_harmonic_mean(pairs.hops), rho_d=rho)

@@ -13,8 +13,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .data_model import Database, Dimensionality
-from .errors import MalformedRecord
+from .errors import EmptyResult, MalformedRecord
 from .extract import ExtractionMethod, Scope, extract
+from .graph import ConfrontGraph
 from .metrics import GraphSummary, summarize
 
 
@@ -48,7 +49,13 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
             keep_hierarchy=base_method.keep_hierarchy,
             split=base_method.split, scope=Scope.TOP_K, k=k,
             component_threshold=base_method.component_threshold)
-        summary = summarize(extract(db, method), db.property_baseline)
+        try:
+            g = extract(db, method)
+        except EmptyResult:
+            # No component survives at this k: an empty point (coverage 0,
+            # NaN rho), which the Pareto scan ranks last.
+            g = ConfrontGraph([], [])
+        summary = summarize(g, db.property_baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))
     return points

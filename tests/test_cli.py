@@ -193,6 +193,15 @@ def test_stats_inline_with_profile(capsys, db_files, tmp_path):
     assert len(profile) > 2
 
 
+def test_stats_profile_requires_out(capsys, db_files):
+    code, out, err = run(capsys, "stats", *db_files["argv"],
+                         "--method", "RFW_all", "--threshold", "4",
+                         "--profile")
+    assert code == 1
+    assert "--profile requires --out" in err
+    assert out == ""
+
+
 def test_stats_requires_some_input(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 1
@@ -214,6 +223,23 @@ def test_sweep_to_stdout(capsys, db_files):
     assert lines[0] == "k,coverage,rho,n,m,components,d_harm"
     assert [line.split(",")[0] for line in lines[1:4]] == ["0", "1", "2"]
     assert lines[4].startswith("selected k=")
+
+
+def test_sweep_lists_a_k_that_empties_the_graph(capsys, tmp_path):
+    # synthetic_database(22) keeps no RFW_k component of 25 from k=4 on.
+    save_database(synthetic_database(22), tmp_path / "objects.csv",
+                  tmp_path / "relations.csv", tmp_path / "segments.csv")
+    code, out, _ = run(capsys, "sweep",
+                       "--objects", str(tmp_path / "objects.csv"),
+                       "--relations", str(tmp_path / "relations.csv"),
+                       "--segments", str(tmp_path / "segments.csv"),
+                       "--base", "RFW", "--k-range", "0..5")
+    assert code == 0
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[1:7]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert rows[5][1:] == ["0", "", "0", "0", "0", "0.00"]
+    assert lines[7].startswith("selected k=")
 
 
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])

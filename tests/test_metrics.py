@@ -3,7 +3,10 @@
 The scipy-backed implementations are checked against plain-Python
 oracles: a deque BFS for distances and a sort-based average-rank
 Spearman. Hand-computed cases pin the conventions (harmonic mean with
-infinite pairs, population standard deviation, tie handling)."""
+infinite pairs, population standard deviation, tie handling). The
+single-pass statistics are also checked for exact equality against the
+earlier matrix formulas (`triu_indices`, `np.ix_`, an n x n x 2 `hypot`,
+`rankdata` on both sides), and for making one hop pass per graph."""
 
 import math
 import random
@@ -11,14 +14,22 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from conftest import make_graph, make_vertex, random_graph
+from conftest import make_graph, make_vertex, random_graph, synthetic_database
+from confront_net import cli, metrics
+from confront_net.data_model import save_database
 from confront_net.errors import InsufficientCoordinates, NoFinitePairs
+from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge
-from confront_net.metrics import (all_pairs_graph_distance, density,
+from confront_net.metrics import (DistanceProfile, ProfileBucket,
+                                  all_pairs_graph_distance, density,
                                   distance_profile, finite_diameter,
                                   harmonic_mean_distance, rank_correlation,
                                   spearman_distance_correlation, summarize)
+from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
 
 R = NormalizedType.RELATED_TO
@@ -309,3 +320,136 @@ def test_adding_edges_never_increases_harmonic_mean(seed):
     denser = ConfrontGraph(g.vertices.values(),
                            list(g.edges) + [Edge(f"v{i}", f"v{j}", R)])
     assert harmonic_mean_distance(denser) <= before
+
+
+# --- one hop pass per graph -----------------------------------------------
+
+def seed_era_statistics(g):
+    """(d_max, d_harm, rho_d, profile) computed the way the per-statistic
+    implementation did: full matrices, index arrays, `rankdata` ranks."""
+    matrix = all_pairs_graph_distance(g).matrix
+    dists = matrix[np.triu_indices(g.n, k=1)]
+    finite = dists[np.isfinite(dists)]
+    d_max = int(finite.max()) if finite.size else 0
+    with np.errstate(divide="ignore"):
+        inv = np.where(np.isfinite(dists), 1.0 / dists, 0.0)
+    total = float(inv.sum())
+    d_harm = math.inf if total == 0.0 else dists.size / total
+    index = g.vertex_index()
+    located = [(index[v.id], v.coord) for v in g.vertices.values()
+               if v.coord is not None]
+    if len(located) < 2:
+        return d_max, d_harm, math.nan, None
+    idx = np.array([i for i, _ in located])
+    xy = np.array([c for _, c in located], dtype=float)
+    iu = np.triu_indices(len(idx), k=1)
+    graph_d = matrix[np.ix_(idx, idx)][iu]
+    diff = xy[:, None, :] - xy[None, :, :]
+    spatial = np.hypot(diff[..., 0], diff[..., 1])[iu]
+    rx = rankdata(graph_d)
+    ry = rankdata(spatial)
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
+    rho = math.nan if denom == 0.0 else float((rx * ry).sum() / denom)
+    buckets = []
+    finite_mask = np.isfinite(graph_d)
+    for h in sorted(set(graph_d[finite_mask].tolist())):
+        sel = spatial[graph_d == h]
+        buckets.append(ProfileBucket(float(h), int(sel.size),
+                                     float(sel.mean()), float(sel.std())))
+    rest = spatial[~finite_mask]
+    if rest.size:
+        buckets.append(ProfileBucket(math.inf, int(rest.size),
+                                     float(rest.mean()), float(rest.std())))
+    return d_max, d_harm, rho, DistanceProfile(tuple(buckets))
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def extracted_graph(seed, code):
+    db = merge_equal_objects(synthetic_database(seed))
+    return extract(db, ExtractionMethod.from_code(code, k=2,
+                                                  component_threshold=4))
+
+
+EXACTNESS_GRAPHS = (
+    [pytest.param(lambda s=s: random_graph(random.Random(s), max_n=30,
+                                           with_coords=True), id=f"random{s}")
+     for s in range(20)]
+    + [pytest.param(lambda s=s, c=c: extracted_graph(s, c), id=f"{c}-{s}")
+       for s in range(3) for c in ("RFW_all", "EFS_all", "EHW_all", "RFS_k")])
+
+
+@pytest.mark.parametrize("build", EXACTNESS_GRAPHS)
+def test_single_pass_statistics_equal_the_seed_formulas(build):
+    g = build()
+    d_max, d_harm, rho, profile = seed_era_statistics(g)
+    s = summarize(g)
+    assert s.d_max == d_max
+    assert s.d_harm == d_harm
+    assert same(s.rho_d, rho)
+    if d_max:
+        assert finite_diameter(g) == d_max
+    else:
+        with pytest.raises(NoFinitePairs):
+            finite_diameter(g)
+    assert harmonic_mean_distance(g) == d_harm
+    if profile is None:
+        with pytest.raises(InsufficientCoordinates):
+            spearman_distance_correlation(g)
+    else:
+        assert same(spearman_distance_correlation(g), rho)
+        assert distance_profile(g) == profile
+
+
+small_hops = st.one_of(st.integers(0, 40).map(float), st.just(math.inf))
+
+
+@given(st.lists(small_hops, max_size=300))
+def test_hop_ranks_equal_rankdata(values):
+    hops = np.array(values, dtype=float)
+    want = rankdata(hops)
+    got = metrics._hop_ranks(hops)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def hop_passes(monkeypatch):
+    """Sizes of the graphs every all-pairs hop search ran on."""
+    calls = []
+    original = metrics.all_pairs_graph_distance
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(metrics, "all_pairs_graph_distance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_summarize_makes_one_hop_pass(hop_passes, seed):
+    g = random_graph(random.Random(seed), max_n=30, with_coords=True)
+    summarize(g, baseline=10)
+    assert hop_passes == [g.n]
+
+
+def test_stats_profile_makes_one_hop_pass_per_graph(hop_passes, tmp_path,
+                                                   capsys):
+    save_database(synthetic_database(0), tmp_path / "objects.csv",
+                  tmp_path / "relations.csv", tmp_path / "segments.csv")
+    out = tmp_path / "stats.csv"
+    code = cli.main(["stats", "--objects", str(tmp_path / "objects.csv"),
+                     "--relations", str(tmp_path / "relations.csv"),
+                     "--segments", str(tmp_path / "segments.csv"),
+                     "--method", "EFS_k", "--k", "2", "--threshold", "4",
+                     "--out", str(out), "--profile"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(hop_passes) == 2  # the full graph and EFS_k
+    assert (tmp_path / "profile_full.csv").exists()
+    assert (tmp_path / "profile_EFS_k.csv").exists()

@@ -5,6 +5,7 @@ randomized point sets, including NaN correlations and exact ties."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,8 @@ from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationRecord, SpatialObject)
 from confront_net.errors import MalformedRecord
 from confront_net.extract import ExtractionMethod, extract
+from confront_net.graph import ConfrontGraph
+from confront_net.metrics import summarize
 from confront_net.normalize import merge_equal_objects
 from confront_net.sweep import (SweepPoint, default_k_range, pareto_front,
                                 select_best, sweep_k)
@@ -125,6 +128,22 @@ def test_sweep_points_mirror_summaries(base):
     for p in points:
         assert p.coverage == p.summary.property_count
         assert p.rho is p.summary.rho_d or p.rho == p.summary.rho_d
+
+
+@pytest.mark.parametrize("seed", [22, 25])
+def test_sweep_records_a_k_that_empties_the_graph(seed):
+    # At the default threshold 25, RFW_k leaves no component from k=4
+    # (seed 22) or k=3 (seed 25) on.
+    db = merge_equal_objects(synthetic_database(seed))
+    points = sweep_k(db, ExtractionMethod.from_code("RFW_k"), range(6))
+    assert [p.k for p in points] == list(range(6))
+    empty = summarize(ConfrontGraph([], []), db.property_baseline)
+    emptied = [p for p in points if p.summary.n == 0]
+    assert emptied and emptied[-1].k == 5
+    for p in emptied:
+        assert p.coverage == 0 and math.isnan(p.rho)
+        assert replace(p.summary, rho_d=0.0) == replace(empty, rho_d=0.0)
+    assert select_best(points).summary.n > 0
 
 
 def test_sweep_k_zero_matches_streets_scope_whole():
