@@ -17,8 +17,8 @@ from .extract import (METHOD_CODES, ExtractionMethod, Scope,
                       build_full_graph, extract)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex
 from .metrics import GraphSummary, summarize
-from .normalize import (NormalizedType, merge_equal_objects,
-                        normalize_relation_type)
+from .normalize import merge_equal_objects, normalize_relation_type
+from .relation_types import NormalizedType
 from .community import CommunityPartition, louvain, modularity
 
 __all__ = [

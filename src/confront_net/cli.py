@@ -17,21 +17,20 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .community import (CommunityNetwork, CommunityPartition, community_network,
-                        community_stats, louvain, size_gini)
+from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
 from .errors import ConfrontNetError, EmptyResult, MalformedRecord
 from .extract import (METHOD_CODES, ExtractionMethod, Scope, build_full_graph,
-                      extract)
+                      extract, extract_or_empty)
 from .graph import ConfrontGraph
 from .metrics import (DistanceProfile, GraphSummary, distance_profile,
                       pair_distances, summarize)
-from .normalize import TABLE_VERSION, merge_equal_objects, normalization_rows
+from .normalize import merge_equal_objects, normalization_rows
+from .relation_types import TABLE_VERSION
 from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
                         gexf_bytes, graphml_bytes, read_cache)
 from .sweep import default_k_range, select_best, sweep_k
@@ -45,18 +44,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CONFRONT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer CONFRONT_THREADS={raw!r}",
-              file=sys.stderr)
-        return 1
 
 
 def _add_db_arguments(parser: argparse.ArgumentParser,
@@ -183,6 +170,11 @@ def _emit(data: bytes, out: Path | None) -> None:
         atomic_write_bytes(out, data)
 
 
+def _warn_empty(label: str) -> None:
+    print(f"warning: graph {label!r} is empty; reporting zeros",
+          file=sys.stderr)
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_extract(args: argparse.Namespace,
@@ -195,16 +187,12 @@ def cmd_extract(args: argparse.Namespace,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
     args.out.mkdir(parents=True, exist_ok=True)
-
-    def run(method: ExtractionMethod) -> ConfrontGraph:
-        return extract(db, method)
-
-    threads = _thread_count()
-    if threads > 1 and len(methods) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            graphs = list(pool.map(run, methods))
-    else:
-        graphs = [run(method) for method in methods]
+    if os.environ.get("CONFRONT_THREADS"):
+        print("warning: CONFRONT_THREADS is ignored; extraction is serial",
+              file=sys.stderr)
+    # --all reports an empty variant as a zero row; a single method fails.
+    run = extract_or_empty if args.all else extract
+    graphs = [run(db, method) for method in methods]
 
     render = graphml_bytes if args.format == "graphml" else gexf_bytes
     rows = []
@@ -220,6 +208,8 @@ def cmd_extract(args: argparse.Namespace,
         rows.append(_stats_row(method.code, summary))
         print(f"{method.code}: n={summary.n} m={summary.m} "
               f"components={summary.components}")
+        if g.n == 0:
+            _warn_empty(method.code)
     if args.all:
         atomic_write_bytes(args.out / "stats.csv",
                            _render_csv(STATS_COLUMNS, rows, mhash))
@@ -269,15 +259,15 @@ def cmd_stats(args: argparse.Namespace,
         methods_ = [_method_from_args(code, args, parser) for code in codes]
         db = _load_merged(args)
         measure("full", build_full_graph(db), db.property_baseline)
+        run = extract_or_empty if args.all else extract
         for method in methods_:
-            measure(method.code, extract(db, method), db.property_baseline)
+            measure(method.code, run(db, method), db.property_baseline)
         methods = ["full"] + codes
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, methods, parameters)
     mhash = manifest["manifest_hash"]
     for label in empty:
-        print(f"warning: graph {label!r} is empty; reporting zeros",
-              file=sys.stderr)
+        _warn_empty(label)
     _emit(_render_csv(STATS_COLUMNS, rows,
                       mhash if args.out is not None else None), args.out)
     if args.out is not None:

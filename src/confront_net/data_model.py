@@ -323,7 +323,7 @@ def _parse_coord(xs: str, ys: str, *, path: str,
 
 def _read_csv(path: Path, header: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
     rows: list[tuple[int, dict[str, str]]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -452,7 +452,7 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
 def _load_json(objects_path: Path, relations_path: Path) -> Database:
     def read(path: Path) -> Any:
         try:
-            with path.open(encoding="utf-8") as fh:
+            with path.open(encoding="utf-8-sig") as fh:
                 return json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"invalid JSON: {exc}",

@@ -18,8 +18,9 @@ from .data_model import (Database, Dimensionality, ObjectKind,
 from .errors import (EmptyResult, MalformedRecord, MissingLength,
                      MissingSegments, UnmappableType)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex, unique_edges
-from .normalize import (EGAL, HierarchyClass, NormalizedType,
-                        hierarchy_class, normalize_relation_type)
+from .normalize import normalize_relation_type
+from .relation_types import (EGAL, HierarchyClass, NormalizedType,
+                             hierarchy_class)
 
 DEFAULT_COMPONENT_THRESHOLD = 25
 
@@ -356,3 +357,13 @@ def extract(db: Database, method: ExtractionMethod) -> ConfrontGraph:
         g = inject_additional(g, db)
     g = filter_components(g, method.component_threshold)
     return g
+
+
+def extract_or_empty(db: Database, method: ExtractionMethod) -> ConfrontGraph:
+    """`extract`, except that a method keeping no component of the
+    threshold size gives the empty graph (coverage 0, NaN rho) instead of
+    raising `EmptyResult`."""
+    try:
+        return extract(db, method)
+    except EmptyResult:
+        return ConfrontGraph([], [], method=method)

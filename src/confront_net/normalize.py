@@ -13,15 +13,8 @@ from dataclasses import replace
 from .data_model import (Database, Dimensionality, ObjectKind,
                          RelationRecord, SpatialObject, _UnionFind)
 from .errors import ConflictingMerge
-from .relation_types import (EGAL, NORMALIZATION_TABLE, RAW_RELATION_TYPES,
-                             TABLE_VERSION, HierarchyClass, NormalizedType,
-                             hierarchy_class, normalize_raw)
-
-__all__ = [
-    "EGAL", "NORMALIZATION_TABLE", "RAW_RELATION_TYPES", "TABLE_VERSION",
-    "HierarchyClass", "NormalizedType", "hierarchy_class",
-    "normalize_relation_type", "merge_equal_objects", "normalization_rows",
-]
+from .relation_types import (EGAL, NORMALIZATION_TABLE, NormalizedType,
+                             normalize_raw)
 
 
 def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:

@@ -229,16 +229,6 @@ def cache_bytes(g: ConfrontGraph, manifest_hash: str | None = None) -> bytes:
     return buf.getvalue()
 
 
-def write_graphml(g: ConfrontGraph, path: str | Path,
-                  manifest_hash: str | None = None) -> None:
-    atomic_write_bytes(path, graphml_bytes(g, manifest_hash))
-
-
-def write_gexf(g: ConfrontGraph, path: str | Path,
-               manifest_hash: str | None = None) -> None:
-    atomic_write_bytes(path, gexf_bytes(g, manifest_hash))
-
-
 def write_cache(g: ConfrontGraph, path: str | Path,
                 manifest_hash: str | None = None) -> None:
     atomic_write_bytes(path, cache_bytes(g, manifest_hash))

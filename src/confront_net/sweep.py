@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data_model import Database, Dimensionality
-from .errors import EmptyResult, MalformedRecord
-from .extract import ExtractionMethod, Scope, extract
-from .graph import ConfrontGraph
+from .errors import MalformedRecord
+from .extract import ExtractionMethod, Scope, extract_or_empty
 from .metrics import GraphSummary, summarize
 
 
@@ -44,17 +43,9 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
         raise MalformedRecord("duplicate k in sweep range")
     points = []
     for k in k_values:
-        method = ExtractionMethod(
-            use_additional=base_method.use_additional,
-            keep_hierarchy=base_method.keep_hierarchy,
-            split=base_method.split, scope=Scope.TOP_K, k=k,
-            component_threshold=base_method.component_threshold)
-        try:
-            g = extract(db, method)
-        except EmptyResult:
-            # No component survives at this k: an empty point (coverage 0,
-            # NaN rho), which the Pareto scan ranks last.
-            g = ConfrontGraph([], [])
+        # A k that leaves no component is an empty point (coverage 0, NaN
+        # rho), which the Pareto scan ranks last.
+        g = extract_or_empty(db, replace(base_method, k=k))
         summary = summarize(g, db.property_baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))

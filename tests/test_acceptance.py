@@ -30,14 +30,14 @@ from confront_net.errors import UnmappableType
 from confront_net.extract import (METHOD_CODES, ExtractionMethod,
                                   build_full_graph, extract,
                                   segment_vertex_id)
-from confront_net.graph import NormalizedType
 from confront_net.metrics import (all_pairs_graph_distance,
                                   harmonic_mean_distance, rank_correlation,
                                   summarize)
-from confront_net.normalize import (EGAL, RAW_RELATION_TYPES, HierarchyClass,
-                                    hierarchy_class, merge_equal_objects,
-                                    normalization_rows,
+from confront_net.normalize import (merge_equal_objects, normalization_rows,
                                     normalize_relation_type)
+from confront_net.relation_types import (EGAL, RAW_RELATION_TYPES,
+                                         HierarchyClass, NormalizedType,
+                                         hierarchy_class)
 from confront_net.serialize import cache_bytes, graphml_bytes
 from confront_net.sweep import pareto_front, select_best
 

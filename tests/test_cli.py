@@ -242,6 +242,66 @@ def test_sweep_lists_a_k_that_empties_the_graph(capsys, tmp_path):
     assert lines[7].startswith("selected k=")
 
 
+@pytest.fixture(scope="module")
+def degenerate_files(tmp_path_factory):
+    # synthetic_database(22) at k=4 leaves no RFW_k or EFW_k component of 25.
+    root = tmp_path_factory.mktemp("degenerate")
+    save_database(synthetic_database(22), root / "objects.csv",
+                  root / "relations.csv", root / "segments.csv")
+    return ["--objects", str(root / "objects.csv"),
+            "--relations", str(root / "relations.csv"),
+            "--segments", str(root / "segments.csv")]
+
+
+EMPTY_ROW = ["0", "0", "0.0000", "0", "0.00", "0", "0", "0.00", ""]
+
+
+def assert_degenerate_rows(rows, err):
+    by_label = {row[0]: row[1:] for row in rows}
+    assert len(rows) == 17 and list(by_label) == ["full", *METHOD_CODES]
+    empty = [code for code in METHOD_CODES if by_label[code][0] == "0"]
+    assert empty == ["RFW_k", "EFW_k"]
+    for code in empty:
+        assert by_label[code] == EMPTY_ROW
+        assert f"warning: graph {code!r} is empty; reporting zeros" in err
+
+
+def test_extract_all_reports_an_empty_variant_as_a_zero_row(
+        capsys, degenerate_files, tmp_path):
+    code, _, err = run(capsys, "extract", *degenerate_files, "--all",
+                       "--k", "4", "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "stats.csv").read_text().splitlines()[2:]
+    rows = [line.split(",") for line in lines]
+    assert_degenerate_rows(rows, err)
+    for method in METHOD_CODES:
+        assert (tmp_path / f"{method}.graphml").exists()
+    assert read_cache(tmp_path / f"RFW_k{CACHE_SUFFIX}").n == 0
+    baseline = synthetic_database(22).property_baseline
+    code, out, _ = run(capsys, "stats", "--graphs", str(tmp_path),
+                       "--baseline", str(baseline))
+    assert code == 0
+    assert sorted(out.splitlines()[1:]) == sorted(lines[1:])
+
+
+def test_stats_all_reports_an_empty_variant_as_a_zero_row(
+        capsys, degenerate_files):
+    code, out, err = run(capsys, "stats", *degenerate_files, "--all",
+                         "--k", "4")
+    assert code == 0
+    assert_degenerate_rows([line.split(",")
+                            for line in out.splitlines()[1:]], err)
+
+
+@pytest.mark.parametrize("command", ["extract", "communities"])
+def test_single_empty_method_is_a_data_error(capsys, degenerate_files,
+                                             tmp_path, command):
+    code, _, err = run(capsys, command, *degenerate_files, "--method",
+                       "RFW_k", "--k", "4", "--out", str(tmp_path))
+    assert code == 2
+    assert "size threshold" in err
+
+
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])
 def test_sweep_rejects_bad_ranges(capsys, db_files, bad):
     code, _, err = run(capsys, "sweep", *db_files["argv"],

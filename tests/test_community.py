@@ -17,7 +17,8 @@ from confront_net.data_model import ObjectKind
 from confront_net.errors import UncoveredVertex
 from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge
-from confront_net.normalize import NormalizedType, merge_equal_objects
+from confront_net.normalize import merge_equal_objects
+from confront_net.relation_types import NormalizedType
 
 R = NormalizedType.RELATED_TO
 

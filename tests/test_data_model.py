@@ -226,6 +226,30 @@ def test_json_round_trip(tmp_path, seed):
     assert back == db
 
 
+def prefix_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def test_csv_with_byte_order_marks_loads_unchanged(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start every file with a BOM.
+    db = synthetic_database(0)
+    paths = (tmp_path / "objects.csv", tmp_path / "relations.csv",
+             tmp_path / "segments.csv")
+    save_database(db, *paths)
+    for path in paths:
+        prefix_bom(path)
+    assert load_database(*paths) == db
+
+
+def test_json_with_byte_order_marks_loads_unchanged(tmp_path):
+    db = synthetic_database(0)
+    paths = (tmp_path / "objects.json", tmp_path / "relations.json")
+    save_database(db, *paths)
+    for path in paths:
+        prefix_bom(path)
+    assert load_database(*paths) == db
+
+
 def test_csv_requires_segments_path_when_segments_exist(tmp_path):
     db = synthetic_database(0)
     with pytest.raises(MalformedRecord):

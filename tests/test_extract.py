@@ -16,7 +16,8 @@ from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
                                   handle_nonpunctual, inject_additional,
                                   segment_vertex_id)
 from confront_net.graph import EdgeOrigin
-from confront_net.normalize import NormalizedType, merge_equal_objects
+from confront_net.normalize import merge_equal_objects
+from confront_net.relation_types import NormalizedType
 
 R = NormalizedType.RELATED_TO
 ART = NormalizedType.ARTIFICIAL_ADJACENCY

@@ -15,11 +15,11 @@ from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
 from confront_net.errors import ConflictingMerge, UnmappableType
-from confront_net.normalize import (EGAL, RAW_RELATION_TYPES, HierarchyClass,
-                                    NormalizedType, hierarchy_class,
-                                    merge_equal_objects,
-                                    normalization_rows,
+from confront_net.normalize import (merge_equal_objects, normalization_rows,
                                     normalize_relation_type)
+from confront_net.relation_types import (EGAL, RAW_RELATION_TYPES,
+                                         HierarchyClass, NormalizedType,
+                                         hierarchy_class)
 
 R = NormalizedType.RELATED_TO
 I = NormalizedType.INSIDE_OF
