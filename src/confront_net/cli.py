@@ -23,7 +23,8 @@ from pathlib import Path
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
-from .errors import ConfrontNetError, EmptyResult, MalformedRecord
+from .errors import (ConfrontNetError, EmptyResult, InsufficientCoordinates,
+                     MalformedRecord)
 from .extract import (METHOD_CODES, ExtractionMethod, Scope, build_full_graph,
                       extract, extract_or_empty)
 from .graph import ConfrontGraph
@@ -186,7 +187,6 @@ def cmd_extract(args: argparse.Namespace,
         "extract", args, codes,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
-    args.out.mkdir(parents=True, exist_ok=True)
     if os.environ.get("CONFRONT_THREADS"):
         print("warning: CONFRONT_THREADS is ignored; extraction is serial",
               file=sys.stderr)
@@ -233,8 +233,9 @@ def cmd_stats(args: argparse.Namespace,
         if args.profile:
             try:
                 profiles.append((label, distance_profile(g, pairs)))
-            except ConfrontNetError:
-                pass
+            except InsufficientCoordinates:
+                print(f"warning: graph {label!r} has fewer than 2 located "
+                      f"vertices; no profile written", file=sys.stderr)
         if g.n == 0:
             empty.append(label)
 
@@ -351,7 +352,6 @@ def cmd_communities(args: argparse.Namespace,
         {"seed": args.seed, "k": getattr(args, "k", None),
          "threshold": getattr(args, "threshold", None)})
     mhash = manifest["manifest_hash"]
-    args.out.mkdir(parents=True, exist_ok=True)
 
     partition = louvain(g, seed=args.seed)
     stats = community_stats(g, partition)

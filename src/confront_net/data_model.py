@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -449,6 +449,17 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
     return Database.from_parts(objects, relations)
 
 
+def _json_records(raw: Any, kind: str, path: Path) -> Iterator[dict]:
+    if not isinstance(raw, list):
+        raise MalformedRecord(f"expected a JSON array of {kind} records",
+                              path=str(path))
+    for pos, rec in enumerate(raw):
+        if not isinstance(rec, dict):
+            raise MalformedRecord(
+                f"{kind} record #{pos} is not a JSON object", path=str(path))
+        yield rec
+
+
 def _load_json(objects_path: Path, relations_path: Path) -> Database:
     def read(path: Path) -> Any:
         try:
@@ -458,12 +469,8 @@ def _load_json(objects_path: Path, relations_path: Path) -> Database:
             raise MalformedRecord(f"invalid JSON: {exc}",
                                   path=str(path)) from None
 
-    raw_objects = read(objects_path)
-    raw_relations = read(relations_path)
-    if not isinstance(raw_objects, list) or not isinstance(raw_relations, list):
-        raise MalformedRecord("JSON inputs must be arrays of records")
     objects = []
-    for rec in raw_objects:
+    for rec in _json_records(read(objects_path), "object", objects_path):
         try:
             segments = tuple(
                 Segment(id=s["id"],
@@ -481,7 +488,8 @@ def _load_json(objects_path: Path, relations_path: Path) -> Database:
                 f"bad object record {rec.get('id', '?')!r}: {exc}",
                 path=str(objects_path)) from None
     relations = []
-    for rec in raw_relations:
+    for rec in _json_records(read(relations_path), "relation",
+                             relations_path):
         try:
             relations.append(RelationRecord(
                 id=rec["id"], source_id=rec["source_id"],

@@ -6,8 +6,10 @@ unreachable pairs are infinite. One hop pass per graph; every statistic
 derives from it: `pair_distances` runs the all-pairs search once and
 keeps only the pair vectors that d_max, d_harm, rho_d and the distance
 profile read. Spatial statistics (rank correlation, distance profile)
-consider only vertex pairs where both ends carry coordinates, and treat
-infinite hop distances as one tied block of maximal ranks.
+consider only vertex pairs where both ends carry coordinates. Hops and
+metres are ranked by the one average-rank function `_average_ranks`,
+which treats infinite hop distances as one tied block of maximal ranks;
+`rank_correlation` is the one Spearman correlation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
-from scipy.stats import rankdata
 
 from .errors import InsufficientCoordinates, NoFinitePairs
 from .graph import ConfrontGraph
@@ -150,35 +151,28 @@ def _harmonic_mean(hops: np.ndarray) -> float:
     return hops.size / total
 
 
-def _hop_ranks(hops: np.ndarray) -> np.ndarray:
-    """Average ranks of hop counts, infinite hops as one tied top block.
-
-    Hops are small non-negative integers, so counting replaces sorting;
-    the ranks equal `rankdata(hops)` exactly (both are exact half-integers
-    built from integer counts).
-    """
-    finite = np.isfinite(hops)
-    top = int(hops[finite].max()) + 1 if finite.any() else 0
-    codes = np.where(finite, hops, top).astype(np.intp)
-    counts = np.bincount(codes)
-    below = np.cumsum(counts) - counts
-    return (2 * below + counts + 1)[codes] * 0.5
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie block sharing the mean of its positions;
+    infinities rank as tied extreme blocks, and one NaN makes every rank
+    NaN. Ranks are exact half-integers built from integer counts."""
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    _, codes, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    return (2 * (np.cumsum(counts) - counts) + counts + 1)[codes] * 0.5
 
 
-def _ranked_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman rho with average ranks for ties; infinite values rank as
+    one tied maximal block. NaN when either side is constant."""
+    rx = _average_ranks(np.asarray(x, dtype=float))
+    ry = _average_ranks(np.asarray(y, dtype=float))
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
     if denom == 0.0:
         return math.nan
     return float((rx * ry).sum() / denom)
-
-
-def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rho with average ranks for ties; infinite values rank as
-    one tied maximal block. NaN when either side is constant."""
-    return _ranked_correlation(rankdata(np.asarray(x, dtype=float)),
-                               rankdata(np.asarray(y, dtype=float)))
 
 
 def _located(g: ConfrontGraph,
@@ -188,10 +182,6 @@ def _located(g: ConfrontGraph,
         raise InsufficientCoordinates(
             f"need at least 2 located vertices, have {have}")
     return pairs.located
-
-
-def _distance_correlation(graph_d: np.ndarray, spatial: np.ndarray) -> float:
-    return _ranked_correlation(_hop_ranks(graph_d), rankdata(spatial))
 
 
 def finite_diameter(g: ConfrontGraph) -> int:
@@ -205,7 +195,7 @@ def harmonic_mean_distance(g: ConfrontGraph) -> float:
 
 
 def spearman_distance_correlation(g: ConfrontGraph) -> float:
-    return _distance_correlation(*_located(g, pair_distances(g)))
+    return rank_correlation(*_located(g, pair_distances(g)))
 
 
 def distance_profile(g: ConfrontGraph,
@@ -253,7 +243,7 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     except NoFinitePairs:
         d_max = 0
     rho = (math.nan if pairs.located is None
-           else _distance_correlation(*pairs.located))
+           else rank_correlation(*pairs.located))
     return GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),

@@ -33,9 +33,10 @@ _GEXF_NS = "http://gexf.net/1.3"
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename; readers never see a
-    partial file."""
+    """Write via a sibling temp file and rename, creating missing parent
+    directories; readers never see a partial file."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -2,14 +2,13 @@
 
 Coverage (surviving property count) and spatial distance correlation
 pull in opposite directions as k grows; the sweep enumerates k, keeps
-the non-dominated points, and picks the correlation-maximizing one by
-default.
+the non-dominated points, and picks the correlation-maximizing one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .data_model import Database, Dimensionality
@@ -85,12 +84,7 @@ def pareto_front(points: Sequence[SweepPoint]) -> list[SweepPoint]:
     return front
 
 
-def select_best(points: Sequence[SweepPoint],
-                policy: Callable[[Sequence[SweepPoint]], SweepPoint] | None = None,
-                ) -> SweepPoint:
+def select_best(points: Sequence[SweepPoint]) -> SweepPoint:
     """Pick a sweep point: max rho on the Pareto front, smallest k on
-    ties. A custom policy receives the front and overrides the default."""
-    front = pareto_front(points)
-    if policy is not None:
-        return policy(front)
-    return max(front, key=lambda p: (_rho_key(p), -p.k))
+    ties."""
+    return max(pareto_front(points), key=lambda p: (_rho_key(p), -p.k))

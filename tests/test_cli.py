@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import synthetic_database
+from conftest import make_graph, synthetic_database
 from confront_net.cli import CACHE_SUFFIX, main
 from confront_net.data_model import save_database
 from confront_net.extract import METHOD_CODES
@@ -82,6 +82,22 @@ def test_missing_input_file_is_a_data_error(capsys, tmp_path):
                        "--method", "RFW_all", "--out", str(tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", ["objects", "relations"])
+def test_json_record_that_is_not_an_object_is_a_data_error(capsys, tmp_path,
+                                                          bad):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("objects", "relations")}
+    for name, path in paths.items():
+        path.write_text('[["a"]]' if name == bad else "[]")
+    code, _, err = run(capsys, "extract",
+                       "--objects", str(paths["objects"]),
+                       "--relations", str(paths["relations"]),
+                       "--method", "RFW_all", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "not a JSON object" in err and str(paths[bad]) in err
 
 
 def test_extract_single_method(capsys, db_files, tmp_path):
@@ -214,6 +230,37 @@ def test_stats_empty_graph_directory_is_a_data_error(capsys, tmp_path):
     assert CACHE_SUFFIX in err
 
 
+def test_stats_out_creates_missing_directories(capsys, db_files, tmp_path):
+    out_csv = tmp_path / "a" / "b" / "stats.csv"
+    code, _, err = run(capsys, "stats", *db_files["argv"],
+                       "--method", "RFW_all", "--threshold", "4",
+                       "--out", str(out_csv), "--profile")
+    assert code == 0, err
+    assert out_csv.read_text().splitlines()[3].startswith("RFW_all,")
+    assert (out_csv.parent / "stats.csv.manifest.json").exists()
+    assert (out_csv.parent / "profile_RFW_all.csv").exists()
+
+
+def test_stats_profile_warns_about_a_graph_without_located_pairs(
+        capsys, tmp_path):
+    graphs = tmp_path / "graphs"
+    write_cache(make_graph([(0, 1), (1, 2)]),
+                graphs / f"bare{CACHE_SUFFIX}")
+    write_cache(make_graph([(0, 1), (1, 2)],
+                           coords={0: (0.0, 0.0), 1: (1.0, 0.0),
+                                   2: (3.0, 0.0)}),
+                graphs / f"located{CACHE_SUFFIX}")
+    out_csv = tmp_path / "stats.csv"
+    code, _, err = run(capsys, "stats", "--graphs", str(graphs),
+                       "--out", str(out_csv), "--profile")
+    assert code == 0
+    assert ("warning: graph 'bare' has fewer than 2 located vertices; "
+            "no profile written") in err
+    assert "'located'" not in err
+    assert sorted(p.name for p in tmp_path.glob("profile_*.csv")) == [
+        "profile_located.csv"]
+
+
 def test_sweep_to_stdout(capsys, db_files):
     code, out, _ = run(capsys, "sweep", *db_files["argv"],
                        "--base", "RFS", "--k-range", "0..2",
@@ -223,6 +270,17 @@ def test_sweep_to_stdout(capsys, db_files):
     assert lines[0] == "k,coverage,rho,n,m,components,d_harm"
     assert [line.split(",")[0] for line in lines[1:4]] == ["0", "1", "2"]
     assert lines[4].startswith("selected k=")
+
+
+def test_sweep_out_creates_missing_directories(capsys, db_files, tmp_path):
+    out_csv = tmp_path / "a" / "b" / "sweep.csv"
+    code, _, err = run(capsys, "sweep", *db_files["argv"],
+                       "--base", "RFS", "--k-range", "0..1",
+                       "--threshold", "4", "--out", str(out_csv))
+    assert code == 0, err
+    assert out_csv.read_text().splitlines()[1] == (
+        "k,coverage,rho,n,m,components,d_harm")
+    assert (out_csv.parent / "sweep.csv.manifest.json").exists()
 
 
 def test_sweep_lists_a_k_that_empties_the_graph(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Record validation, file round-trips, the property baseline and the
 non-fatal warning pass."""
 
+import json
 import math
 
 import pytest
@@ -248,6 +249,22 @@ def test_json_with_byte_order_marks_loads_unchanged(tmp_path):
     for path in paths:
         prefix_bom(path)
     assert load_database(*paths) == db
+
+
+@pytest.mark.parametrize("content,message", [
+    ([["a"]], "is not a JSON object"), ([1], "is not a JSON object"),
+    (["a"], "is not a JSON object"), ([None], "is not a JSON object"),
+    ({}, "expected a JSON array"), ("a", "expected a JSON array")])
+@pytest.mark.parametrize("bad", ["objects", "relations"])
+def test_json_input_that_is_not_an_array_of_objects_is_rejected(
+        tmp_path, bad, content, message):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("objects", "relations")}
+    for name, path in paths.items():
+        path.write_text(json.dumps(content if name == bad else []))
+    with pytest.raises(MalformedRecord, match=message) as exc:
+        load_database(paths["objects"], paths["relations"])
+    assert exc.value.path == str(paths[bad])
 
 
 def test_csv_requires_segments_path_when_segments_exist(tmp_path):

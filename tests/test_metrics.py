@@ -9,8 +9,12 @@ earlier matrix formulas (`triu_indices`, `np.ix_`, an n x n x 2 `hypot`,
 `rankdata` on both sides), and for making one hop pass per graph."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,16 +409,36 @@ def test_single_pass_statistics_equal_the_seed_formulas(build):
         assert distance_profile(g) == profile
 
 
-small_hops = st.one_of(st.integers(0, 40).map(float), st.just(math.inf))
+# Hop counts (small integers and inf) and arbitrary metres, tied or not;
+# some lists also carry a NaN.
+rank_values = st.one_of(st.integers(0, 40).map(float), st.just(math.inf),
+                        st.floats(allow_nan=False))
 
 
-@given(st.lists(small_hops, max_size=300))
+@given(st.one_of(
+    st.lists(rank_values, max_size=300),
+    st.lists(st.one_of(rank_values, st.just(math.nan)), min_size=1,
+             max_size=300)))
 def test_hop_ranks_equal_rankdata(values):
-    hops = np.array(values, dtype=float)
-    want = rankdata(hops)
-    got = metrics._hop_ranks(hops)
+    """`_average_ranks`, which ranks both hops and metres, against
+    `rankdata`."""
+    array = np.array(values, dtype=float)
+    want = rankdata(array)
+    got = metrics._average_ranks(array)
     assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, confront_net.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False"
 
 
 @pytest.fixture

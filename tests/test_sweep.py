@@ -93,13 +93,6 @@ def test_select_best_maximizes_rho_then_minimizes_k():
     assert select_best(tied).k == 2
 
 
-def test_select_best_with_policy_override():
-    points = [pt(0, 9, 0.1), pt(1, 7, 0.5)]
-    best = select_best(points, policy=lambda front: max(
-        front, key=lambda p: p.coverage))
-    assert best.k == 0
-
-
 def test_select_best_all_nan_prefers_smallest_k():
     points = [pt(2, 5, math.nan), pt(0, 5, math.nan), pt(1, 5, math.nan)]
     assert select_best(points).k == 0
