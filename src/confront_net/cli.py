@@ -204,10 +204,13 @@ def cmd_extract(args: argparse.Namespace,
                            render(g, mhash))
         atomic_write_bytes(args.out / f"{method.code}{CACHE_SUFFIX}",
                            cache_bytes(g, mhash))
-        summary = summarize(g, db.property_baseline)
-        rows.append(_stats_row(method.code, summary))
-        print(f"{method.code}: n={summary.n} m={summary.m} "
-              f"components={summary.components}")
+        if args.all:
+            summary = summarize(g, db.property_baseline)
+            rows.append(_stats_row(method.code, summary))
+            components = summary.components
+        else:
+            components = len(g.components())
+        print(f"{method.code}: n={g.n} m={g.m} components={components}")
         if g.n == 0:
             _warn_empty(method.code)
     if args.all:

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from .errors import (DanglingEndpoint, DuplicateId, MalformedRecord,
-                     UnknownRawType)
+from .errors import (ConfrontNetError, DanglingEndpoint, DuplicateId,
+                     MalformedRecord, UnknownRawType)
 from .relation_types import EGAL, is_known_raw_type
 
 
@@ -282,43 +282,36 @@ _TRUE = {"true", "1", "yes"}
 _FALSE = {"false", "0", "no"}
 
 
-def _parse_bool(raw: str, *, path: str, line: int) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in _TRUE:
         return True
     if low in _FALSE:
         return False
-    raise MalformedRecord(f"expected a boolean, got {raw!r}",
-                          path=path, line=line)
+    raise MalformedRecord(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float(raw: str, *, path: str, line: int) -> float:
+def _parse_float(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise MalformedRecord(f"expected a number, got {raw!r}",
-                              path=path, line=line) from None
+        raise MalformedRecord(f"expected a number, got {raw!r}") from None
 
 
-def _parse_enum(enum_cls: type[Enum], raw: str, *, path: str,
-                line: int) -> Any:
+def _parse_enum(enum_cls: type[Enum], raw: str) -> Any:
     for member in enum_cls:
         if member.value == raw:
             return member
     choices = ", ".join(m.value for m in enum_cls)
-    raise MalformedRecord(
-        f"expected one of {choices}, got {raw!r}", path=path, line=line)
+    raise MalformedRecord(f"expected one of {choices}, got {raw!r}")
 
 
-def _parse_coord(xs: str, ys: str, *, path: str,
-                 line: int) -> tuple[float, float] | None:
+def _parse_coord(xs: str, ys: str) -> tuple[float, float] | None:
     if not xs and not ys:
         return None
     if not xs or not ys:
-        raise MalformedRecord("x and y must be given together",
-                              path=path, line=line)
-    return (_parse_float(xs, path=path, line=line),
-            _parse_float(ys, path=path, line=line))
+        raise MalformedRecord("x and y must be given together")
+    return (_parse_float(xs), _parse_float(ys))
 
 
 def _read_csv(path: Path, header: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
@@ -345,11 +338,30 @@ def _read_csv(path: Path, header: tuple[str, ...]) -> list[tuple[int, dict[str, 
     return rows
 
 
-def _wrap_record_error(exc: MalformedRecord, *, path: str,
-                       line: int) -> MalformedRecord:
-    if exc.path is None:
-        return type(exc)(exc.args[0].split(" [")[0], path=path, line=line)
-    return exc
+class _located:
+    """Append ``[path]`` or ``[path:line]`` to a loader error raised in
+    the block, keeping its class; an error with a location passes.
+
+    A class, not @contextmanager: it wraps every input row, and enters
+    and leaves in a third of the time.
+    """
+
+    def __init__(self, path: Path, line: int | None = None) -> None:
+        self.path, self.line = path, line
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type[BaseException] | None,
+                 exc: BaseException | None, tb: Any) -> None:
+        if isinstance(exc, MalformedRecord):
+            if exc.path is None:
+                raise type(exc)(str(exc), path=str(self.path),
+                                line=self.line) from None
+        elif isinstance(exc, ConfrontNetError):
+            where = (str(self.path) if self.line is None
+                     else f"{self.path}:{self.line}")
+            raise type(exc)(f"{exc} [{where}]") from None
 
 
 def load_database(objects_path: str | Path, relations_path: str | Path,
@@ -375,24 +387,21 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
         seen_pairs: set[tuple[str, str]] = set()
         entries: list[tuple[int, int, str, Segment]] = []
         for lineno, row in _read_csv(segments_path, _SEGMENT_HEADER):
-            spath = str(segments_path)
-            key = (row["object_id"], row["segment_id"])
-            if key in seen_pairs:
-                raise DuplicateId(
-                    f"duplicate segment {row['segment_id']!r} on object "
-                    f"{row['object_id']!r} [{spath}:{lineno}]")
-            seen_pairs.add(key)
-            try:
-                order = int(row["order"])
-            except ValueError:
-                raise MalformedRecord(
-                    f"expected an integer order, got {row['order']!r}",
-                    path=spath, line=lineno) from None
-            coord = _parse_coord(row["x"], row["y"], path=spath, line=lineno)
-            try:
-                seg = Segment(id=row["segment_id"], coord=coord)
-            except MalformedRecord as exc:
-                raise _wrap_record_error(exc, path=spath, line=lineno) from None
+            with _located(segments_path, lineno):
+                key = (row["object_id"], row["segment_id"])
+                if key in seen_pairs:
+                    raise DuplicateId(
+                        f"duplicate segment {row['segment_id']!r} on object "
+                        f"{row['object_id']!r}")
+                seen_pairs.add(key)
+                try:
+                    order = int(row["order"])
+                except ValueError:
+                    raise MalformedRecord(
+                        f"expected an integer order, got {row['order']!r}"
+                    ) from None
+                seg = Segment(id=row["segment_id"],
+                              coord=_parse_coord(row["x"], row["y"]))
             entries.append((order, lineno, row["object_id"], seg))
         entries.sort(key=lambda e: (e[2], e[0], e[1]))
         for _, _, owner, seg in entries:
@@ -402,104 +411,90 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
 
     objects: list[SpatialObject] = []
     object_ids: set[str] = set()
-    opath = str(objects_path)
     for lineno, row in _read_csv(objects_path, _OBJECT_HEADER):
-        oid = row["id"]
-        if oid in object_ids:
-            raise DuplicateId(f"duplicate object id {oid!r} [{opath}:{lineno}]")
-        object_ids.add(oid)
-        kind = _parse_enum(ObjectKind, row["kind"], path=opath, line=lineno)
-        dim = _parse_enum(Dimensionality, row["dim"], path=opath, line=lineno)
-        coord = _parse_coord(row["x"], row["y"], path=opath, line=lineno)
-        length = (_parse_float(row["length_m"], path=opath, line=lineno)
-                  if row["length_m"] else None)
-        walls = (_parse_bool(row["inside_old_walls"], path=opath, line=lineno)
-                 if row["inside_old_walls"] else None)
-        declared = (_parse_bool(row["declared"], path=opath, line=lineno)
-                    if row["declared"] else None)
-        try:
-            obj = SpatialObject(
+        with _located(objects_path, lineno):
+            oid = row["id"]
+            if oid in object_ids:
+                raise DuplicateId(f"duplicate object id {oid!r}")
+            object_ids.add(oid)
+            kind = _parse_enum(ObjectKind, row["kind"])
+            dim = _parse_enum(Dimensionality, row["dim"])
+            coord = _parse_coord(row["x"], row["y"])
+            length = _parse_float(row["length_m"]) if row["length_m"] else None
+            walls = (_parse_bool(row["inside_old_walls"])
+                     if row["inside_old_walls"] else None)
+            declared = (_parse_bool(row["declared"]) if row["declared"]
+                        else None)
+            objects.append(SpatialObject(
                 id=oid, name=row["name"], kind=kind, dim=dim, coord=coord,
                 length_m=length, parish=row["parish"] or None,
                 inside_old_walls=walls, declared=declared,
-                segments=tuple(segs.get(oid, ())))
-        except MalformedRecord as exc:
-            raise _wrap_record_error(exc, path=opath, line=lineno) from None
-        objects.append(obj)
+                segments=tuple(segs.get(oid, ()))))
     for owner in seg_owner_order:
         if owner not in object_ids:
             raise DanglingEndpoint(
                 f"segments reference missing object {owner!r}")
 
     relations: list[RelationRecord] = []
-    rpath = str(relations_path)
     for lineno, row in _read_csv(relations_path, _RELATION_HEADER):
-        origin = _parse_enum(RelationOrigin, row["origin"] or "Primary",
-                             path=rpath, line=lineno)
-        try:
-            rel = RelationRecord(
+        with _located(relations_path, lineno):
+            relations.append(RelationRecord(
                 id=row["id"], source_id=row["source_id"],
                 target_id=row["target_id"], raw_type=row["raw_type"],
-                origin=origin, target_segment=row["target_segment"] or None)
-        except MalformedRecord as exc:
-            raise _wrap_record_error(exc, path=rpath, line=lineno) from None
-        except UnknownRawType as exc:
-            raise UnknownRawType(f"{exc} [{rpath}:{lineno}]") from None
-        relations.append(rel)
+                origin=_parse_enum(RelationOrigin,
+                                   row["origin"] or "Primary"),
+                target_segment=row["target_segment"] or None))
     return Database.from_parts(objects, relations)
 
 
-def _json_records(raw: Any, kind: str, path: Path) -> Iterator[dict]:
+def _json_records(path: Path, kind: str) -> Iterator[dict]:
+    try:
+        with path.open(encoding="utf-8-sig") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(raw, list):
-        raise MalformedRecord(f"expected a JSON array of {kind} records",
-                              path=str(path))
+        raise MalformedRecord(f"expected a JSON array of {kind} records")
     for pos, rec in enumerate(raw):
         if not isinstance(rec, dict):
-            raise MalformedRecord(
-                f"{kind} record #{pos} is not a JSON object", path=str(path))
+            raise MalformedRecord(f"{kind} record #{pos} is not a JSON object")
         yield rec
 
 
 def _load_json(objects_path: Path, relations_path: Path) -> Database:
-    def read(path: Path) -> Any:
-        try:
-            with path.open(encoding="utf-8-sig") as fh:
-                return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"invalid JSON: {exc}",
-                                  path=str(path)) from None
-
     objects = []
-    for rec in _json_records(read(objects_path), "object", objects_path):
-        try:
-            segments = tuple(
-                Segment(id=s["id"],
-                        coord=tuple(s["coord"]) if s.get("coord") else None)
-                for s in rec.get("segments") or ())
-            objects.append(SpatialObject(
-                id=rec["id"], name=rec.get("name", ""),
-                kind=ObjectKind(rec["kind"]), dim=Dimensionality(rec["dim"]),
-                coord=tuple(rec["coord"]) if rec.get("coord") else None,
-                length_m=rec.get("length_m"), parish=rec.get("parish"),
-                inside_old_walls=rec.get("inside_old_walls"),
-                declared=rec.get("declared"), segments=segments))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(
-                f"bad object record {rec.get('id', '?')!r}: {exc}",
-                path=str(objects_path)) from None
+    with _located(objects_path):
+        for rec in _json_records(objects_path, "object"):
+            try:
+                segments = tuple(
+                    Segment(id=s["id"],
+                            coord=tuple(s["coord"]) if s.get("coord") else None)
+                    for s in rec.get("segments") or ())
+                objects.append(SpatialObject(
+                    id=rec["id"], name=rec.get("name", ""),
+                    kind=ObjectKind(rec["kind"]),
+                    dim=Dimensionality(rec["dim"]),
+                    coord=tuple(rec["coord"]) if rec.get("coord") else None,
+                    length_m=rec.get("length_m"), parish=rec.get("parish"),
+                    inside_old_walls=rec.get("inside_old_walls"),
+                    declared=rec.get("declared"), segments=segments))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise MalformedRecord(
+                    f"bad object record {rec.get('id', '?')!r}: {exc}"
+                ) from None
     relations = []
-    for rec in _json_records(read(relations_path), "relation",
-                             relations_path):
-        try:
-            relations.append(RelationRecord(
-                id=rec["id"], source_id=rec["source_id"],
-                target_id=rec["target_id"], raw_type=rec["raw_type"],
-                origin=RelationOrigin(rec.get("origin", "Primary")),
-                target_segment=rec.get("target_segment")))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(
-                f"bad relation record {rec.get('id', '?')!r}: {exc}",
-                path=str(relations_path)) from None
+    with _located(relations_path):
+        for rec in _json_records(relations_path, "relation"):
+            try:
+                relations.append(RelationRecord(
+                    id=rec["id"], source_id=rec["source_id"],
+                    target_id=rec["target_id"], raw_type=rec["raw_type"],
+                    origin=RelationOrigin(rec.get("origin", "Primary")),
+                    target_segment=rec.get("target_segment")))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise MalformedRecord(
+                    f"bad relation record {rec.get('id', '?')!r}: {exc}"
+                ) from None
     return Database.from_parts(objects, relations)
 
 

@@ -191,14 +191,12 @@ class ConfrontGraph:
 
     # --- derived graphs ---------------------------------------------------
 
-    def induced_subgraph(self, vertex_ids: Iterable[str],
-                         method: "ExtractionMethod | None" = None) -> "ConfrontGraph":
+    def induced_subgraph(self, vertex_ids: Iterable[str]) -> "ConfrontGraph":
         keep = set(vertex_ids)
         vertices = [v for v in self._vertices.values() if v.id in keep]
         edges = [e for e in self._edges
                  if e.source in keep and e.target in keep]
-        return ConfrontGraph(vertices, edges,
-                             method=method if method is not None else self.method,
+        return ConfrontGraph(vertices, edges, method=self.method,
                              meta=self.meta)
 
     def with_edges(self, edges: Iterable[Edge],

@@ -267,6 +267,32 @@ def test_json_input_that_is_not_an_array_of_objects_is_rejected(
     assert exc.value.path == str(paths[bad])
 
 
+@pytest.mark.parametrize("bad,record,error,message", [
+    ("objects", {"id": "h", "kind": "Property", "dim": "Surface"},
+     MalformedRecord, "object 'h': kind Property cannot be Surface"),
+    ("objects", {"id": "h", "kind": "Property", "dim": "Punctual",
+                 "coord": [1.0]},
+     MalformedRecord, "object 'h': coordinates must be two finite numbers"),
+    ("objects", {"id": "st", "kind": "Street", "dim": "Linear",
+                 "segments": [{"id": "a"}, {"id": "a"}]},
+     DuplicateId, "object 'st': duplicate segment id 'a'"),
+    ("relations", {"id": "r1", "source_id": "a", "target_id": "b",
+                   "raw_type": "Besides"},
+     UnknownRawType, "relation 'r1': unknown raw type 'Besides'"),
+])
+def test_json_record_errors_name_their_file(tmp_path, bad, record, error,
+                                            message):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("objects", "relations")}
+    for name, path in paths.items():
+        path.write_text(json.dumps([record] if name == bad else []))
+    with pytest.raises(error) as exc:
+        load_database(paths["objects"], paths["relations"])
+    assert str(exc.value) == f"{message} [{paths[bad]}]"
+    if error is MalformedRecord:
+        assert exc.value.path == str(paths[bad])
+
+
 def test_csv_requires_segments_path_when_segments_exist(tmp_path):
     db = synthetic_database(0)
     with pytest.raises(MalformedRecord):
@@ -308,6 +334,26 @@ def test_load_reports_line_numbers(tmp_path):
     with pytest.raises(MalformedRecord) as exc:
         load_database(objects, relations)
     assert ":3" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad,row,reason", [
+    ("objects", "house [east],h,Property,Surface,,,,,,",
+     "object 'house [east]': kind Property cannot be Surface"),
+    ("relations", "r [1],p1,p1,Juxta,,",
+     "relation 'r [1]': self-loop on 'p1' (rejected for all types, Egal "
+     "included)"),
+])
+def test_load_keeps_the_whole_reason_for_ids_with_brackets(tmp_path, bad,
+                                                           row, reason):
+    lines = {"objects": [OBJ_HEADER, "p1,first,Property,Punctual,,,,,,"],
+             "relations": [REL_HEADER]}
+    lines[bad].insert(1, row)
+    paths = {name: write(tmp_path / f"{name}.csv", "\n".join(rows) + "\n")
+             for name, rows in lines.items()}
+    with pytest.raises(MalformedRecord) as exc:
+        load_database(paths["objects"], paths["relations"])
+    assert str(exc.value) == f"{reason} [{paths[bad]}:2]"
+    assert (exc.value.path, exc.value.line) == (str(paths[bad]), 2)
 
 
 def test_load_rejects_half_coordinates(tmp_path):

@@ -35,6 +35,7 @@ from confront_net.metrics import (DistanceProfile, ProfileBucket,
                                   spearman_distance_correlation, summarize)
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
+from confront_net.serialize import read_cache
 
 R = NormalizedType.RELATED_TO
 N = NormalizedType.NORTH_OF
@@ -477,3 +478,21 @@ def test_stats_profile_makes_one_hop_pass_per_graph(hop_passes, tmp_path,
     assert len(hop_passes) == 2  # the full graph and EFS_k
     assert (tmp_path / "profile_full.csv").exists()
     assert (tmp_path / "profile_EFS_k.csv").exists()
+
+
+def test_extract_single_method_makes_no_hop_pass(hop_passes, tmp_path,
+                                                 capsys):
+    db = synthetic_database(0)
+    save_database(db, tmp_path / "objects.csv", tmp_path / "relations.csv",
+                  tmp_path / "segments.csv")
+    code = cli.main(["extract", "--objects", str(tmp_path / "objects.csv"),
+                     "--relations", str(tmp_path / "relations.csv"),
+                     "--segments", str(tmp_path / "segments.csv"),
+                     "--method", "EFS_k", "--k", "2", "--threshold", "4",
+                     "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hop_passes == []  # only --all writes the statistics
+    g = read_cache(tmp_path / "out" / f"EFS_k{cli.CACHE_SUFFIX}")
+    s = summarize(g, db.property_baseline)
+    assert out == f"EFS_k: n={s.n} m={s.m} components={s.components}\n"
