@@ -190,15 +190,15 @@ def cmd_extract(args: argparse.Namespace,
     if os.environ.get("CONFRONT_THREADS"):
         print("warning: CONFRONT_THREADS is ignored; extraction is serial",
               file=sys.stderr)
+    full = build_full_graph(db)
     # --all reports an empty variant as a zero row; a single method fails.
     run = extract_or_empty if args.all else extract
-    graphs = [run(db, method) for method in methods]
+    graphs = [run(db, method, full) for method in methods]
 
     render = graphml_bytes if args.format == "graphml" else gexf_bytes
     rows = []
     if args.all:
-        rows.append(_stats_row("full", summarize(build_full_graph(db),
-                                                 db.property_baseline)))
+        rows.append(_stats_row("full", summarize(full, db.property_baseline)))
     for method, g in zip(methods, graphs):
         atomic_write_bytes(args.out / f"{method.code}.{args.format}",
                            render(g, mhash))
@@ -262,10 +262,11 @@ def cmd_stats(args: argparse.Namespace,
                          "--objects/--relations")
         methods_ = [_method_from_args(code, args, parser) for code in codes]
         db = _load_merged(args)
-        measure("full", build_full_graph(db), db.property_baseline)
+        full = build_full_graph(db)
+        measure("full", full, db.property_baseline)
         run = extract_or_empty if args.all else extract
         for method in methods_:
-            measure(method.code, run(db, method), db.property_baseline)
+            measure(method.code, run(db, method, full), db.property_baseline)
         methods = ["full"] + codes
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, methods, parameters)

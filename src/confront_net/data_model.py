@@ -381,7 +381,7 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
                 "omitted")
         return _load_json(objects_path, relations_path)
     segs: dict[str, list[Segment]] = {}
-    seg_owner_order: list[str] = []
+    first_line: dict[str, int] = {}  # owner -> its first segments.csv line
     if segments_path is not None:
         segments_path = Path(segments_path)
         seen_pairs: set[tuple[str, str]] = set()
@@ -403,10 +403,9 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
                 seg = Segment(id=row["segment_id"],
                               coord=_parse_coord(row["x"], row["y"]))
             entries.append((order, lineno, row["object_id"], seg))
+            first_line.setdefault(row["object_id"], lineno)
         entries.sort(key=lambda e: (e[2], e[0], e[1]))
         for _, _, owner, seg in entries:
-            if owner not in segs:
-                seg_owner_order.append(owner)
             segs.setdefault(owner, []).append(seg)
 
     objects: list[SpatialObject] = []
@@ -430,10 +429,11 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
                 length_m=length, parish=row["parish"] or None,
                 inside_old_walls=walls, declared=declared,
                 segments=tuple(segs.get(oid, ()))))
-    for owner in seg_owner_order:
+    for owner in segs:
         if owner not in object_ids:
-            raise DanglingEndpoint(
-                f"segments reference missing object {owner!r}")
+            with _located(segments_path, first_line[owner]):
+                raise DanglingEndpoint(
+                    f"segments reference missing object {owner!r}")
 
     relations: list[RelationRecord] = []
     for lineno, row in _read_csv(relations_path, _RELATION_HEADER):

@@ -10,6 +10,7 @@ smaller than a threshold.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -284,11 +285,6 @@ def _prune_artificial_leaves(vertices: list[Vertex],
 def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:
     """Add street-adjacency and edifice-position relations as RelatedTo
     edges wherever both endpoints survived extraction so far."""
-    segments_of: dict[str, list[str]] = {}
-    for v in g.vertices.values():
-        if v.source_segment is not None:
-            segments_of.setdefault(v.source_object, []).append(v.id)
-
     def resolve(object_id: str, binding: str | None) -> str | None:
         if object_id in g.vertices:
             return object_id
@@ -346,24 +342,29 @@ def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
     return g.induced_subgraph(keep)
 
 
-def extract(db: Database, method: ExtractionMethod) -> ConfrontGraph:
-    """Run the full pipeline for one method."""
-    g = build_full_graph(db)
+def extract(db: Database, method: ExtractionMethod,
+            full: ConfrontGraph | None = None) -> ConfrontGraph:
+    """Run the pipeline for one method; `full`, when given, is the
+    database's `build_full_graph` result, reused and left unchanged."""
+    g = full if full is not None else build_full_graph(db)
     if not method.keep_hierarchy:
         g = filter_hierarchy(g)
-    g.method = method
     g = handle_nonpunctual(g, db, method)
     if method.use_additional:
         g = inject_additional(g, db)
     g = filter_components(g, method.component_threshold)
+    # The stages may hand back their input, `full` itself: label a copy.
+    g = copy.copy(g)
+    g.method = method
     return g
 
 
-def extract_or_empty(db: Database, method: ExtractionMethod) -> ConfrontGraph:
+def extract_or_empty(db: Database, method: ExtractionMethod,
+                     full: ConfrontGraph | None = None) -> ConfrontGraph:
     """`extract`, except that a method keeping no component of the
     threshold size gives the empty graph (coverage 0, NaN rho) instead of
     raising `EmptyResult`."""
     try:
-        return extract(db, method)
+        return extract(db, method, full)
     except EmptyResult:
         return ConfrontGraph([], [], method=method)

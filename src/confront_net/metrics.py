@@ -205,18 +205,11 @@ def distance_profile(g: ConfrontGraph,
     graph_d, spatial = _located(
         g, pairs if pairs is not None else pair_distances(g))
     buckets: list[ProfileBucket] = []
-    finite_mask = np.isfinite(graph_d)
-    for h in sorted(set(graph_d[finite_mask].tolist())):
+    for h in np.unique(graph_d):  # ascending, so the infinite bucket last
         sel = spatial[graph_d == h]
         buckets.append(ProfileBucket(
             graph_distance=float(h), count=int(sel.size),
             mean_spatial=float(sel.mean()), std_spatial=float(sel.std())))
-    infinite = spatial[~finite_mask]
-    if infinite.size:
-        buckets.append(ProfileBucket(
-            graph_distance=math.inf, count=int(infinite.size),
-            mean_spatial=float(infinite.mean()),
-            std_spatial=float(infinite.std())))
     return DistanceProfile(tuple(buckets))
 
 

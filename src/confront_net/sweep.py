@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 from .data_model import Database, Dimensionality
 from .errors import MalformedRecord
-from .extract import ExtractionMethod, Scope, extract_or_empty
+from .extract import (ExtractionMethod, Scope, build_full_graph,
+                      extract_or_empty)
 from .metrics import GraphSummary, summarize
 
 
@@ -40,11 +41,12 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
             f"{base_method.code!r}")
     if len(set(k_values)) != len(k_values):
         raise MalformedRecord("duplicate k in sweep range")
+    full = build_full_graph(db)
     points = []
     for k in k_values:
         # A k that leaves no component is an empty point (coverage 0, NaN
         # rho), which the Pareto scan ranks last.
-        g = extract_or_empty(db, replace(base_method, k=k))
+        g = extract_or_empty(db, replace(base_method, k=k), full)
         summary = summarize(g, db.property_baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))

@@ -2,6 +2,7 @@
 
 Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 
+import importlib
 import json
 
 import pytest
@@ -358,6 +359,41 @@ def test_single_empty_method_is_a_data_error(capsys, degenerate_files,
                        "RFW_k", "--k", "4", "--out", str(tmp_path))
     assert code == 2
     assert "size threshold" in err
+
+
+@pytest.fixture
+def full_builds(monkeypatch):
+    """Count `build_full_graph` calls through every module binding."""
+    # The package root re-exports the function `extract`, which shadows
+    # the module of that name as an attribute.
+    modules = [importlib.import_module(f"confront_net.{name}")
+               for name in ("extract", "cli", "sweep")]
+    calls = []
+    original = modules[0].build_full_graph
+
+    def counted(db):
+        calls.append(db)
+        return original(db)
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_full_graph", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("extract", "--all", "--k", "1", "--out", "{out}"),
+    ("stats", "--all", "--k", "1"),
+    ("stats", "--method", "EFS_k", "--k", "1", "--out", "{out}/s.csv",
+     "--profile"),
+    ("sweep", "--base", "EFS", "--k-range", "0..3"),
+])
+def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
+                                                 full_builds, argv):
+    argv = [a.format(out=tmp_path) for a in argv]
+    code, _, _ = run(capsys, argv[0], *db_files["argv"], *argv[1:],
+                     "--threshold", "4")
+    assert code == 0
+    assert len(full_builds) == 1
 
 
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])

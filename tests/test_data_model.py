@@ -414,6 +414,20 @@ def test_load_rejects_segments_of_missing_objects(tmp_path):
         load_database(objects, relations, segments)
 
 
+def test_orphan_segments_name_their_file_and_first_line(tmp_path):
+    objects = write(tmp_path / "objects.csv", "\n".join([
+        OBJ_HEADER, "p1,first,Property,Punctual,,,,,,", ""]))
+    relations = write(tmp_path / "relations.csv", REL_HEADER + "\n")
+    segments = write(tmp_path / "segments.csv", "\n".join([
+        "object_id,segment_id,order,x,y",
+        "zed,s1,1,,", "ghost,s2,2,,", "ghost,s1,1,,", ""]))
+    with pytest.raises(DanglingEndpoint) as exc:
+        load_database(objects, relations, segments)
+    # The first owner in id order, at the first line it appears on.
+    assert str(exc.value) == (
+        f"segments reference missing object 'ghost' [{segments}:3]")
+
+
 # --- warnings -------------------------------------------------------------
 
 def test_validate_database_warnings():

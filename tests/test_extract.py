@@ -435,6 +435,34 @@ def test_extract_wires_the_stages_together():
         assert all(len(c) >= 4 for c in g.components())
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_shared_full_graph_gives_the_same_graphs_and_stays_unchanged(
+        seed):
+    db = merge_equal_objects(synthetic_database(seed))
+    full = build_full_graph(db)
+    for code in METHOD_CODES:
+        for k in (1, 2):
+            for threshold in (1, 4):
+                m = method(code, k=k, threshold=threshold)
+                shared = extract(db, m, full)
+                alone = extract(db, m)
+                assert shared == alone
+                assert shared.method == alone.method == m
+                assert shared.meta == alone.meta
+    assert full.method is None
+    assert full.meta == {}
+    assert full == build_full_graph(db)
+
+
+def test_a_method_that_keeps_the_full_graph_labels_a_copy():
+    db = merge_equal_objects(synthetic_database(0))
+    full = build_full_graph(db)
+    g = extract(db, method("RHW_all", threshold=1), full)
+    assert g == full and g is not full
+    assert g.method.code == "RHW_all"
+    assert full.method is None
+
+
 def test_extract_threshold_25_on_small_graphs_is_empty():
     db = component_db([6, 4])
     with pytest.raises(EmptyResult):
