@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -67,16 +68,19 @@ class Segment:
     def __post_init__(self) -> None:
         if not self.id:
             raise MalformedRecord("segment id must be non-empty")
-        _check_coord(self.coord, f"segment {self.id!r}")
-        if self.coord is not None and not isinstance(self.coord, tuple):
-            object.__setattr__(self, "coord", tuple(self.coord))
+        object.__setattr__(self, "coord",
+                           _check_coord(self.coord, f"segment {self.id!r}"))
 
 
-def _check_coord(coord: Any, owner: str) -> None:
+def _check_coord(coord: Any, owner: str) -> tuple[float, float] | None:
+    """``coord`` as a pair of floats, as CSV reads it; None passes."""
     if coord is None:
-        return
-    if len(coord) != 2 or not all(math.isfinite(c) for c in coord):
+        return None
+    if (not isinstance(coord, (tuple, list)) or len(coord) != 2
+            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                       and math.isfinite(c) for c in coord)):
         raise MalformedRecord(f"{owner}: coordinates must be two finite numbers")
+    return (float(coord[0]), float(coord[1]))
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,8 @@ class SpatialObject:
             raise MalformedRecord(
                 f"object {self.id!r}: kind {self.kind.value} cannot be "
                 f"{self.dim.value}")
-        _check_coord(self.coord, f"object {self.id!r}")
-        if self.coord is not None and not isinstance(self.coord, tuple):
-            object.__setattr__(self, "coord", tuple(self.coord))
+        object.__setattr__(self, "coord",
+                           _check_coord(self.coord, f"object {self.id!r}"))
         if self.length_m is not None:
             if not math.isfinite(self.length_m) or self.length_m <= 0:
                 raise MalformedRecord(
@@ -243,6 +246,25 @@ class _UnionFind:
         for members in out.values():
             members.sort()
         return out
+
+
+def unique_by(records: Iterable[Any],
+              key: Callable[[Any], Hashable]) -> list[Any]:
+    """Collapse records with equal keys, first one wins.
+
+    A later duplicate may still contribute its explicit segment binding
+    when the kept record has none: curated bindings beat the default.
+    Serves relations and graph edges alike.
+    """
+    out: list[Any] = []
+    pos: dict[Hashable, int] = {}
+    for rec in records:
+        at = pos.setdefault(key(rec), len(out))
+        if at == len(out):
+            out.append(rec)
+        elif out[at].target_segment is None and rec.target_segment is not None:
+            out[at] = replace(out[at], target_segment=rec.target_segment)
+    return out
 
 
 def _property_baseline(objects: Mapping[str, SpatialObject],
@@ -461,40 +483,66 @@ def _json_records(path: Path, kind: str) -> Iterator[dict]:
         yield rec
 
 
+def _json_field(rec: dict, owner: str, name: str, kind: type = str,
+                required: bool = False) -> Any:
+    """``rec[name]`` checked against ``kind``: str, bool, list, float (an
+    integer is taken and, as in CSV, becomes a float) or an Enum named by
+    its value. An optional field may be null or absent (None)."""
+    value = rec.get(name)
+    if value is None and not required:
+        return None
+    if issubclass(kind, Enum):
+        members = {m.value: m for m in kind}
+        if isinstance(value, str) and value in members:
+            return members[value]
+        want = "one of " + ", ".join(members)
+    elif kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        want = "a number"
+    elif isinstance(value, kind):
+        return value
+    else:
+        want = {str: "a string", bool: "a boolean", list: "an array"}[kind]
+    raise MalformedRecord(f"{owner}: {name} must be {want}"
+                          f"{'' if required else ' or null'}, got {value!r}")
+
+
+def _json_object(rec: dict) -> SpatialObject:
+    owner = f"object {rec.get('id')!r}"
+    get = partial(_json_field, rec, owner)
+    segments = []
+    for seg in get("segments", list) or ():
+        if not isinstance(seg, dict):
+            raise MalformedRecord(f"{owner}: a segment is not a JSON object")
+        sid = _json_field(seg, f"{owner} segment", "id", required=True)
+        segments.append(Segment(sid, seg.get("coord")))
+    return SpatialObject(
+        id=get("id", required=True), name=get("name") or "",
+        kind=get("kind", ObjectKind, required=True),
+        dim=get("dim", Dimensionality, required=True),
+        coord=rec.get("coord"), length_m=get("length_m", float),
+        parish=get("parish"), inside_old_walls=get("inside_old_walls", bool),
+        declared=get("declared", bool), segments=tuple(segments))
+
+
+def _json_relation(rec: dict) -> RelationRecord:
+    get = partial(_json_field, rec, f"relation {rec.get('id')!r}")
+    return RelationRecord(
+        id=get("id", required=True), source_id=get("source_id", required=True),
+        target_id=get("target_id", required=True),
+        raw_type=get("raw_type", required=True),
+        origin=get("origin", RelationOrigin) or RelationOrigin.PRIMARY,
+        target_segment=get("target_segment"))
+
+
 def _load_json(objects_path: Path, relations_path: Path) -> Database:
-    objects = []
     with _located(objects_path):
-        for rec in _json_records(objects_path, "object"):
-            try:
-                segments = tuple(
-                    Segment(id=s["id"],
-                            coord=tuple(s["coord"]) if s.get("coord") else None)
-                    for s in rec.get("segments") or ())
-                objects.append(SpatialObject(
-                    id=rec["id"], name=rec.get("name", ""),
-                    kind=ObjectKind(rec["kind"]),
-                    dim=Dimensionality(rec["dim"]),
-                    coord=tuple(rec["coord"]) if rec.get("coord") else None,
-                    length_m=rec.get("length_m"), parish=rec.get("parish"),
-                    inside_old_walls=rec.get("inside_old_walls"),
-                    declared=rec.get("declared"), segments=segments))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedRecord(
-                    f"bad object record {rec.get('id', '?')!r}: {exc}"
-                ) from None
-    relations = []
+        objects = [_json_object(rec)
+                   for rec in _json_records(objects_path, "object")]
     with _located(relations_path):
-        for rec in _json_records(relations_path, "relation"):
-            try:
-                relations.append(RelationRecord(
-                    id=rec["id"], source_id=rec["source_id"],
-                    target_id=rec["target_id"], raw_type=rec["raw_type"],
-                    origin=RelationOrigin(rec.get("origin", "Primary")),
-                    target_segment=rec.get("target_segment")))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedRecord(
-                    f"bad relation record {rec.get('id', '?')!r}: {exc}"
-                ) from None
+        relations = [_json_relation(rec)
+                     for rec in _json_records(relations_path, "relation")]
     return Database.from_parts(objects, relations)
 
 

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .data_model import Dimensionality, ObjectKind
+from .data_model import Dimensionality, ObjectKind, unique_by
 from .errors import DuplicateId, MalformedRecord
 from .relation_types import NormalizedType
 
@@ -207,19 +207,6 @@ class ConfrontGraph:
 
 
 def unique_edges(edges: Iterable[Edge]) -> list[Edge]:
-    """Collapse duplicate (source, target, type) edges, first one wins.
-
-    A later duplicate may still contribute its explicit segment binding
-    when the kept edge has none: curated bindings beat the default.
-    """
-    out: list[Edge] = []
-    seen: dict[tuple[str, str, str], int] = {}
-    for e in edges:
-        pos = seen.get(e.key())
-        if pos is None:
-            seen[e.key()] = len(out)
-            out.append(e)
-        elif out[pos].target_segment is None and e.target_segment is not None:
-            out[pos] = Edge(out[pos].source, out[pos].target, out[pos].type,
-                            out[pos].origin, e.target_segment)
-    return out
+    """Collapse duplicate (source, target, type) edges through
+    ``unique_by``: the first wins, a later one may supply its binding."""
+    return unique_by(edges, Edge.key)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .data_model import (Database, Dimensionality, ObjectKind,
-                         RelationRecord, SpatialObject, _UnionFind)
+                         RelationRecord, SpatialObject, _UnionFind,
+                         unique_by)
 from .errors import ConflictingMerge
 from .relation_types import (EGAL, NORMALIZATION_TABLE, NormalizedType,
                              normalize_raw)
@@ -30,55 +31,38 @@ def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:
         target_is_surface=target.dim is Dimensionality.SURFACE)
 
 
-def _merged_object(base: SpatialObject,
-                   members: list[SpatialObject]) -> SpatialObject:
-    """Fold the group's fields into the canonical object.
+_FILLABLE = ("coord", "length_m", "parish", "inside_old_walls")
 
-    The canonical record wins; gaps are filled from the other members in
-    ascending id order. declared is OR-ed so a group declared anywhere
-    stays declared.
+
+def _merged_object(members: list[SpatialObject]) -> SpatialObject:
+    """Fold a group, listed in id order, into its canonical first member.
+
+    Each fillable field takes the first non-None value in that order;
+    segments come from the first member that has any, unless the
+    canonical object is punctual; declared is OR-ed so a group declared
+    anywhere stays declared.
     """
-    updates: dict[str, object] = {}
-    coord = base.coord
-    length = base.length_m
-    parish = base.parish
-    walls = base.inside_old_walls
-    segments = base.segments
-    declared = base.declared
-    for other in members:
-        if other.id == base.id:
-            continue
-        coord = coord if coord is not None else other.coord
-        length = length if length is not None else other.length_m
-        parish = parish if parish is not None else other.parish
-        walls = walls if walls is not None else other.inside_old_walls
-        if (not segments and other.segments
-                and base.dim is not Dimensionality.PUNCTUAL):
-            segments = other.segments
-        if declared is not None and other.declared:
-            declared = True
-    if coord is not base.coord:
-        updates["coord"] = coord
-    if length is not base.length_m:
-        updates["length_m"] = length
-    if parish is not base.parish:
-        updates["parish"] = parish
-    if walls is not base.inside_old_walls:
-        updates["inside_old_walls"] = walls
-    if segments is not base.segments:
-        updates["segments"] = segments
-    if declared is not base.declared:
-        updates["declared"] = declared
-    return replace(base, **updates) if updates else base
+    base = members[0]
+    if len(members) == 1:
+        return base
+    fields = {name: next((getattr(m, name) for m in members
+                          if getattr(m, name) is not None), None)
+              for name in _FILLABLE}
+    if base.dim is not Dimensionality.PUNCTUAL:
+        fields["segments"] = next((m.segments for m in members if m.segments),
+                                  ())
+    if base.declared is not None:
+        fields["declared"] = any(m.declared for m in members)
+    return replace(base, **fields)
 
 
 def merge_equal_objects(db: Database) -> Database:
     """Unify every Egal-linked group into its lowest-id object.
 
     All other relations are re-pointed to canonical ids; relations that
-    collapse into self-loops disappear, duplicates (same endpoints and
-    raw type) collapse to the first occurrence, and segment bindings
-    that no longer resolve on the merged target are dropped. Idempotent
+    collapse into self-loops disappear, segment bindings that no longer
+    resolve on the merged target are dropped, and duplicates (same
+    endpoints and raw type) collapse through ``unique_by``. Idempotent
     and independent of the Egal relations' order.
     """
     if not any(r.raw_type == EGAL for r in db.relations):
@@ -97,17 +81,10 @@ def merge_equal_objects(db: Database) -> Database:
         uf.union(rel.source_id, rel.target_id)
 
     groups = uf.groups()
-    merged: dict[str, SpatialObject] = {}
-    for obj in db.objects.values():
-        root = uf.find(obj.id)
-        if root != obj.id:
-            continue
-        members = [db.objects[i] for i in groups[root]]
-        merged[root] = (_merged_object(obj, members)
-                        if len(members) > 1 else obj)
+    merged = {oid: _merged_object([db.objects[i] for i in groups[oid]])
+              for oid in db.objects if oid in groups}
 
     relations: list[RelationRecord] = []
-    seen: dict[tuple[str, str, str], int] = {}
     for rel in db.relations:
         if rel.raw_type == EGAL:
             continue
@@ -118,21 +95,13 @@ def merge_equal_objects(db: Database) -> Database:
         segment = rel.target_segment
         if segment is not None and segment not in merged[target].segment_ids():
             segment = None
-        key = (source, target, rel.raw_type)
-        if key in seen:
-            kept = relations[seen[key]]
-            # A duplicate may still contribute the explicit segment binding.
-            if kept.target_segment is None and segment is not None:
-                relations[seen[key]] = replace(kept, target_segment=segment)
-            continue
-        seen[key] = len(relations)
-        if (source, target, segment) == (rel.source_id, rel.target_id,
+        if (source, target, segment) != (rel.source_id, rel.target_id,
                                          rel.target_segment):
-            relations.append(rel)
-        else:
-            relations.append(replace(rel, source_id=source, target_id=target,
-                                     target_segment=segment))
-    return Database.from_parts(merged.values(), relations)
+            rel = replace(rel, source_id=source, target_id=target,
+                          target_segment=segment)
+        relations.append(rel)
+    return Database.from_parts(merged.values(), unique_by(
+        relations, lambda r: (r.source_id, r.target_id, r.raw_type)))
 
 
 def normalization_rows() -> list[dict[str, str]]:

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Any
 
 from .community import CommunityNetwork
-from .data_model import Dimensionality, ObjectKind
-from .errors import MalformedRecord
+from .data_model import Dimensionality, ObjectKind, _check_coord
+from .errors import ConfrontNetError, MalformedRecord
 from .extract import ExtractionMethod
 from .graph import ConfrontGraph, Edge, Vertex
 from .relation_types import TABLE_VERSION, NormalizedType
@@ -34,13 +34,17 @@ _GEXF_NS = "http://gexf.net/1.3"
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a sibling temp file and rename, creating missing parent
-    directories; readers never see a partial file."""
+    directories; readers never see a partial file. The file gets the
+    mode open() would give a new file, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        umask = os.umask(0)  # read it back: there is no getter
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -254,7 +258,7 @@ def read_cache(path: str | Path) -> ConfrontGraph:
         vertices = [
             Vertex(id=vid, kind=ObjectKind(kind), dim=Dimensionality(dim),
                    is_property=is_prop,
-                   coord=tuple(coord) if coord else None, parish=parish,
+                   coord=_check_coord(coord, f"vertex {vid!r}"), parish=parish,
                    inside_old_walls=walls, source_object=source,
                    source_segment=segment)
             for vid, kind, dim, is_prop, coord, parish, walls, source,
@@ -267,8 +271,10 @@ def read_cache(path: str | Path) -> ConfrontGraph:
             method = ExtractionMethod.from_code(
                 payload["method"]["code"], k=payload["method"]["k"],
                 component_threshold=payload["method"]["component_threshold"])
-    except (KeyError, ValueError, TypeError) as exc:
+        meta = payload.get("meta") or {}
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        return ConfrontGraph(vertices, edges, method=method, meta=meta)
+    except (ConfrontNetError, KeyError, ValueError, TypeError) as exc:
         raise MalformedRecord(f"corrupt graph cache: {exc}",
                               path=str(path)) from None
-    return ConfrontGraph(vertices, edges, method=method,
-                         meta=payload.get("meta") or {})

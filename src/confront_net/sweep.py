@@ -45,7 +45,7 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
     points = []
     for k in k_values:
         # A k that leaves no component is an empty point (coverage 0, NaN
-        # rho), which the Pareto scan ranks last.
+        # rho), which dominates no other point.
         g = extract_or_empty(db, replace(base_method, k=k), full)
         summary = summarize(g, db.property_baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
@@ -59,31 +59,19 @@ def _rho_key(p: SweepPoint) -> float:
 
 
 def pareto_front(points: Sequence[SweepPoint]) -> list[SweepPoint]:
-    """Non-dominated points, sorted by descending coverage.
+    """Non-dominated points, by descending coverage, then rho, then k.
 
-    Scan in coverage order, tracking the best rho seen at strictly
-    higher coverage: a point survives iff it has the top rho of its
-    coverage group and strictly beats that running best (exact ties on
-    both objectives are all kept).
+    A point dominates another when it is at least as good on coverage
+    and on rho and better on one of them; exact ties on both are all
+    kept.
     """
     if not points:
         raise MalformedRecord("pareto_front needs at least one point")
-    ordered = sorted(points, key=lambda p: (-p.coverage, -_rho_key(p), p.k))
-    front: list[SweepPoint] = []
-    best_rho: float | None = None
-    pos = 0
-    while pos < len(ordered):
-        end = pos
-        while (end < len(ordered)
-               and ordered[end].coverage == ordered[pos].coverage):
-            end += 1
-        group_best = _rho_key(ordered[pos])
-        if best_rho is None or group_best > best_rho:
-            front.extend(p for p in ordered[pos:end]
-                         if _rho_key(p) == group_best)
-            best_rho = group_best
-        pos = end
-    return front
+    scores = [(p.coverage, _rho_key(p)) for p in points]
+    front = [p for p, (c, r) in zip(points, scores)
+             if not any(qc >= c and qr >= r and (qc, qr) != (c, r)
+                        for qc, qr in scores)]
+    return sorted(front, key=lambda p: (-p.coverage, -_rho_key(p), p.k))
 
 
 def select_best(points: Sequence[SweepPoint]) -> SweepPoint:

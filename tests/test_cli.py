@@ -2,6 +2,7 @@
 
 Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 
+import gzip
 import importlib
 import json
 
@@ -449,3 +450,35 @@ def test_dump_normalization(capsys):
     assert len(lines) == 2 + 42
     assert any(line.startswith("A Orient,") and "WestOf" in line
                for line in lines)
+
+
+
+@pytest.mark.parametrize("command", ["stats", "communities"])
+@pytest.mark.parametrize("where,value", [
+    (["meta"], [1]), (["meta"], "x"),
+    (["vertices", 0, 4], [1.0, 2.0, 3.0]), (["vertices", 0, 4], "ab"),
+    (["vertices", 0, 4], [float("nan"), 0.0]), (["edges", 0, 1], "ghost"),
+], ids=["meta-list", "meta-string", "coord-3", "coord-string", "coord-nan",
+        "edge-to-missing-vertex"])
+def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
+                                                 where, value):
+    graphs = tmp_path / "graphs"
+    path = graphs / f"g{CACHE_SUFFIX}"
+    write_cache(make_graph([(0, 1), (1, 2), (0, 2)],
+                           coords={i: (float(i), 0.0) for i in range(3)}),
+                path)
+    payload = json.loads(gzip.decompress(path.read_bytes()))
+    *head, last = where
+    item = payload
+    for step in head:
+        item = item[step]
+    item[last] = value
+    path.write_bytes(gzip.compress(json.dumps(payload).encode()))
+    argv = (["stats", "--graphs", str(graphs)] if command == "stats" else
+            ["communities", "--graph", str(path),
+             "--out", str(tmp_path / "out")])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: corrupt graph cache: ")
+    assert err.count("\n") == 1
+    assert str(path) in err

@@ -13,6 +13,8 @@ from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      save_database, validate_database)
 from confront_net.errors import (DanglingEndpoint, DuplicateId,
                                  MalformedRecord, UnknownRawType)
+from confront_net.extract import ExtractionMethod, build_full_graph, extract
+from confront_net.serialize import graphml_bytes
 
 P = Dimensionality.PUNCTUAL
 L = Dimensionality.LINEAR
@@ -267,6 +269,53 @@ def test_json_input_that_is_not_an_array_of_objects_is_rejected(
     assert exc.value.path == str(paths[bad])
 
 
+PROP = {"id": "h", "kind": "Property", "dim": "Punctual"}
+STREET = {"id": "st", "kind": "Street", "dim": "Linear"}
+REL = {"id": "r1", "source_id": "a", "target_id": "b", "raw_type": "Juxta"}
+
+# Fields of the wrong JSON type: (file, record, message).
+JSON_TYPE_ERRORS = [
+    ("objects", {**PROP, "inside_old_walls": "false"},
+     "object 'h': inside_old_walls must be a boolean or null, got 'false'"),
+    ("objects", {**PROP, "declared": 1},
+     "object 'h': declared must be a boolean or null, got 1"),
+    ("objects", {**PROP, "parish": 5},
+     "object 'h': parish must be a string or null, got 5"),
+    ("objects", {**PROP, "id": 5}, "object 5: id must be a string, got 5"),
+    ("objects", {**PROP, "name": ["x"]},
+     "object 'h': name must be a string or null, got ['x']"),
+    ("objects", {**PROP, "kind": "Shop"},
+     "object 'h': kind must be one of Property, ParishOrSector, Borough, "
+     "DefensiveSystem, Gate, Livery, GeologicalLandmark, Street, Edifice, "
+     "got 'Shop'"),
+    ("objects", {**PROP, "dim": None},
+     "object 'h': dim must be one of Punctual, Linear, Surface, got None"),
+    ("objects", {**PROP, "coord": [True, 0]},
+     "object 'h': coordinates must be two finite numbers"),
+    ("objects", {**PROP, "coord": "12"},
+     "object 'h': coordinates must be two finite numbers"),
+    ("objects", {**STREET, "length_m": "120"},
+     "object 'st': length_m must be a number or null, got '120'"),
+    ("objects", {**STREET, "length_m": False},
+     "object 'st': length_m must be a number or null, got False"),
+    ("objects", {**STREET, "segments": {"id": "a"}},
+     "object 'st': segments must be an array or null, got {'id': 'a'}"),
+    ("objects", {**STREET, "segments": ["a", "b"]},
+     "object 'st': a segment is not a JSON object"),
+    ("objects", {**STREET, "segments": [{"id": 1}, {"id": 2}]},
+     "object 'st' segment: id must be a string, got 1"),
+    ("relations", {**REL, "source_id": 5},
+     "relation 'r1': source_id must be a string, got 5"),
+    ("relations", {k: v for k, v in REL.items() if k != "raw_type"},
+     "relation 'r1': raw_type must be a string, got None"),
+    ("relations", {**REL, "origin": "Secondary"},
+     "relation 'r1': origin must be one of Primary, Additional or null, "
+     "got 'Secondary'"),
+    ("relations", {**REL, "target_segment": 0},
+     "relation 'r1': target_segment must be a string or null, got 0"),
+]
+
+
 @pytest.mark.parametrize("bad,record,error,message", [
     ("objects", {"id": "h", "kind": "Property", "dim": "Surface"},
      MalformedRecord, "object 'h': kind Property cannot be Surface"),
@@ -279,7 +328,8 @@ def test_json_input_that_is_not_an_array_of_objects_is_rejected(
     ("relations", {"id": "r1", "source_id": "a", "target_id": "b",
                    "raw_type": "Besides"},
      UnknownRawType, "relation 'r1': unknown raw type 'Besides'"),
-])
+] + [(bad, record, MalformedRecord, message)
+     for bad, record, message in JSON_TYPE_ERRORS])
 def test_json_record_errors_name_their_file(tmp_path, bad, record, error,
                                             message):
     paths = {name: tmp_path / f"{name}.json"
@@ -291,6 +341,58 @@ def test_json_record_errors_name_their_file(tmp_path, bad, record, error,
     assert str(exc.value) == f"{message} [{paths[bad]}]"
     if error is MalformedRecord:
         assert exc.value.path == str(paths[bad])
+
+
+def test_json_null_optionals_load_as_absent(tmp_path):
+    paths = (tmp_path / "objects.json", tmp_path / "relations.json")
+    paths[0].write_text(json.dumps([
+        {**PROP, "name": None, "coord": None, "parish": None,
+         "inside_old_walls": None, "declared": None},
+        {**PROP, "id": "g"}]))
+    paths[1].write_text(json.dumps([{**REL, "source_id": "g",
+                                     "target_id": "h", "origin": None,
+                                     "target_segment": None}]))
+    db = load_database(*paths)
+    assert db.objects["h"] == SpatialObject("h", "", ObjectKind.PROPERTY,
+                                            Dimensionality.PUNCTUAL)
+    assert db.relations[0].origin is RelationOrigin.PRIMARY
+
+
+def test_csv_and_json_registers_render_the_same_graphml(tmp_path):
+    """JSON whole numbers load as the floats CSV gives."""
+    objects = [
+        {"id": "a", "name": "", "kind": "Property", "dim": "Punctual",
+         "coord": [0, 0], "parish": "p1", "inside_old_walls": False},
+        {"id": "b", "name": "", "kind": "Property", "dim": "Punctual",
+         "coord": [30, 40]},
+        {"id": "s", "name": "", "kind": "Street", "dim": "Linear",
+         "coord": [10, 10], "length_m": 120,
+         "segments": [{"id": "s0", "coord": [0, 10]},
+                      {"id": "s1", "coord": [20, 10]}]}]
+    relations = [
+        {"id": "r1", "source_id": "a", "target_id": "b", "raw_type": "Juxta"},
+        {"id": "r2", "source_id": "a", "target_id": "s", "raw_type": "Juxta",
+         "target_segment": "s1"}]
+    json_paths = (tmp_path / "objects.json", tmp_path / "relations.json")
+    json_paths[0].write_text(json.dumps(objects))
+    json_paths[1].write_text(json.dumps(relations))
+    csv_paths = (tmp_path / "objects.csv", tmp_path / "relations.csv",
+                 tmp_path / "segments.csv")
+    write(csv_paths[0], OBJ_HEADER + "\na,,Property,Punctual,0,0,,p1,false,\n"
+          "b,,Property,Punctual,30,40,,,,\n"
+          "s,,Street,Linear,10,10,120,,,\n")
+    write(csv_paths[1], REL_HEADER + "\nr1,a,b,Juxta,,\nr2,a,s,Juxta,,s1\n")
+    write(csv_paths[2], "object_id,segment_id,order,x,y\n"
+          "s,s0,0,0,10\ns,s1,1,20,10\n")
+    renderings = []
+    for paths in (json_paths, csv_paths):
+        db = load_database(*paths)
+        for method in ("full", "EFS_all"):
+            g = (build_full_graph(db) if method == "full" else extract(
+                db, ExtractionMethod.from_code(method,
+                                               component_threshold=1)))
+            renderings.append(graphml_bytes(g))
+    assert renderings[:2] == renderings[2:]
 
 
 def test_csv_requires_segments_path_when_segments_exist(tmp_path):

@@ -3,6 +3,8 @@ round-trips, and XML output free of run-dependent content."""
 
 import gzip
 import json
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -116,3 +118,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_bytes(target, b"second")
     assert target.read_bytes() == b"second"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                         ids=["022", "077", "002"])
+def test_written_files_follow_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "out.bin", b"data")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == (
+        0o666 & ~umask)

@@ -1,6 +1,6 @@
 """k sweep, Pareto filtering and the selection rule.
 
-The scan-based front is checked against a quadratic dominance oracle on
+The front is checked against a separately written dominance oracle on
 randomized point sets, including NaN correlations and exact ties."""
 
 import math
