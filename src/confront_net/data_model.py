@@ -72,15 +72,25 @@ class Segment:
                            _check_coord(self.coord, f"segment {self.id!r}"))
 
 
+def _number(value: Any) -> float | None:
+    """A non-boolean int or float as a float, else None. An int too large
+    for a float reads as inf, as JSON reads a float too large."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_coord(coord: Any, owner: str) -> tuple[float, float] | None:
     """``coord`` as a pair of floats, as CSV reads it; None passes."""
     if coord is None:
         return None
-    if (not isinstance(coord, (tuple, list)) or len(coord) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       and math.isfinite(c) for c in coord)):
+    xy = tuple(map(_number, coord)) if isinstance(coord, (tuple, list)) else ()
+    if len(xy) != 2 or not all(c is not None and math.isfinite(c) for c in xy):
         raise MalformedRecord(f"{owner}: coordinates must be two finite numbers")
-    return (float(coord[0]), float(coord[1]))
+    return xy
 
 
 @dataclass(frozen=True)
@@ -473,7 +483,7 @@ def _json_records(path: Path, kind: str) -> Iterator[dict]:
     try:
         with path.open(encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int over the digit limit
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise MalformedRecord(f"expected a JSON array of {kind} records")
@@ -497,8 +507,9 @@ def _json_field(rec: dict, owner: str, name: str, kind: type = str,
             return members[value]
         want = "one of " + ", ".join(members)
     elif kind is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+        number = _number(value)
+        if number is not None:
+            return number
         want = "a number"
     elif isinstance(value, kind):
         return value

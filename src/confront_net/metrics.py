@@ -5,10 +5,13 @@ which uses the directed edge count. Distances are unweighted hops;
 unreachable pairs are infinite. One hop pass per graph; every statistic
 derives from it: `pair_distances` runs the all-pairs search once and
 keeps only the pair vectors that d_max, d_harm, rho_d and the distance
-profile read. Spatial statistics (rank correlation, distance profile)
-consider only vertex pairs where both ends carry coordinates. Hops and
-metres are ranked by the one average-rank function `_average_ranks`,
-which treats infinite hop distances as one tied block of maximal ranks;
+profile read. The search is a breadth-first search from every source at
+once over packed bitsets (Then et al., "The More the Merrier: Efficient
+Multi-Source Graph Traversal", PVLDB 8(4), 2014), in numpy alone.
+Spatial statistics (rank correlation, distance profile) consider only
+vertex pairs where both ends carry coordinates. Hops and metres are
+ranked by the one average-rank function `_average_ranks`, which treats
+infinite hop distances as one tied block of maximal ranks;
 `rank_correlation` is the one Spearman correlation.
 """
 
@@ -16,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import InsufficientCoordinates, NoFinitePairs
 from .graph import ConfrontGraph
@@ -57,7 +59,14 @@ class DistanceProfile:
 @dataclass(frozen=True)
 class DistanceTable:
     ids: tuple[str, ...]
-    matrix: np.ndarray  # (n, n) float64, hops, inf when unreachable
+    # (n, n) hops in the smallest unsigned type holding d_max + 1; the
+    # type's maximum marks unreachable pairs
+    hops: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """(n, n) float64 hops, inf when unreachable."""
+        return _float_hops(self.hops)
 
     def get(self, u: str, v: str) -> float:
         i = self.ids.index(u)
@@ -82,37 +91,83 @@ def density(g: ConfrontGraph) -> float:
     return g.m / (g.n * (g.n - 1))
 
 
-def _sparse_adjacency(g: ConfrontGraph) -> csr_matrix:
-    pairs = g.undirected_pairs()
-    rows = [i for i, _ in pairs] + [j for _, j in pairs]
-    cols = [j for _, j in pairs] + [i for i, _ in pairs]
-    data = np.ones(len(rows), dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+def _float_hops(hops: np.ndarray) -> np.ndarray:
+    """Integer hops as float64, the unreachable mark as inf."""
+    out = hops.astype(float)
+    out[hops == np.iinfo(hops.dtype).max] = math.inf
+    return out
 
 
 def all_pairs_graph_distance(g: ConfrontGraph) -> DistanceTable:
+    """Hops between every pair, from a breadth-first search that runs
+    from every source at once.
+
+    Row v of `seen` and `frontier` is a bitset over the sources, packed
+    in uint64 words: bit s is set once source s has reached v. Each level
+    ORs the frontier rows of every vertex's neighbours (one `reduceat`
+    over the CSR neighbour lists of the vertices of nonzero degree) and
+    keeps the bits not yet seen. Bit b of a pair's hop count is kept in
+    `planes[b]`, so the n x n matrix is unpacked once per bit, not once
+    per level; pairs never reached get every bit, the unreachable mark.
+    """
     ids = tuple(g.vertex_ids())
-    if g.n == 0:
-        return DistanceTable(ids, np.zeros((0, 0)))
-    matrix = shortest_path(_sparse_adjacency(g), method="D", directed=False,
-                           unweighted=True)
-    return DistanceTable(ids, matrix)
+    n = g.n
+    words = -(-n // 64)
+    pairs = np.array(g.undirected_pairs(), dtype=np.intp).reshape(-1, 2)
+    ends = np.concatenate([pairs, pairs[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0])]
+    active, starts = np.unique(ends[:, 0], return_index=True)
+    nbr = ends[:, 1]
+    # Bits are set and read by byte, so the word order of the machine
+    # does not matter.
+    diagonal = np.arange(n)
+    frontier = np.zeros((n, 8 * words), np.uint8)
+    frontier[diagonal, diagonal >> 3] = 1 << (diagonal & 7)
+    frontier = frontier.view(np.uint64)
+    seen = frontier.copy()
+    planes: list[np.ndarray] = []
+    level = 0
+    while nbr.size:  # without edges no source gets past level 0
+        reached = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
+        reached &= ~seen[active]
+        if not reached.any():
+            break
+        level += 1
+        seen[active] |= reached
+        frontier[active] = reached
+        if level >> len(planes):
+            planes.append(np.zeros_like(seen))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane[active] |= reached
+    dtype = np.min_scalar_type(level + 1)
+
+    def unpacked(bitsets: np.ndarray) -> np.ndarray:
+        return np.unpackbits(bitsets.view(np.uint8), axis=1, count=n,
+                             bitorder="little").astype(dtype, copy=False)
+
+    hops = unpacked(~seen) * np.iinfo(dtype).max
+    for b, plane in enumerate(planes):
+        hops |= unpacked(plane) << b
+    return DistanceTable(ids, hops)
 
 
 def pair_distances(g: ConfrontGraph) -> PairDistances:
     """Run the all-pairs hop search once and keep the pair vectors.
 
-    Vectors are filled row by row, so no index arrays, located-vertex
+    Vectors are filled row by row from the integer hop matrix, then turned
+    into floats once, so no index arrays, float matrix, located-vertex
     submatrix or coordinate-difference cube is built, and the n x n
     matrix is released when this returns.
     """
-    matrix = all_pairs_graph_distance(g).matrix
+    matrix = all_pairs_graph_distance(g).hops
     n = matrix.shape[0]
-    hops = np.empty(n * (n - 1) // 2)
+    hops = np.empty(n * (n - 1) // 2, matrix.dtype)
     pos = 0
     for i in range(n - 1):
         hops[pos:pos + n - 1 - i] = matrix[i, i + 1:]
         pos += n - 1 - i
+    hops = _float_hops(hops)
     index = g.vertex_index()
     located = [(index[v.id], v.coord) for v in g.vertices.values()
                if v.coord is not None]
@@ -121,7 +176,7 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     idx = np.array([i for i, _ in located])
     xy = np.array([c for _, c in located], dtype=float)
     size = len(idx) * (len(idx) - 1) // 2
-    located_hops = np.empty(size)
+    located_hops = np.empty(size, matrix.dtype)
     metres = np.empty(size)
     pos = 0
     for k in range(len(idx) - 1):
@@ -130,7 +185,7 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
         diff = xy[k] - xy[k + 1:]
         metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
         pos = end
-    return PairDistances(hops, (located_hops, metres))
+    return PairDistances(hops, (_float_hops(located_hops), metres))
 
 
 def _finite_max(hops: np.ndarray) -> int:
@@ -204,13 +259,21 @@ def distance_profile(g: ConfrontGraph,
     given, is the graph's `pair_distances` result, reused as is."""
     graph_d, spatial = _located(
         g, pairs if pairs is not None else pair_distances(g))
-    buckets: list[ProfileBucket] = []
-    for h in np.unique(graph_d):  # ascending, so the infinite bucket last
-        sel = spatial[graph_d == h]
-        buckets.append(ProfileBucket(
-            graph_distance=float(h), count=int(sel.size),
-            mean_spatial=float(sel.mean()), std_spatial=float(sel.std())))
-    return DistanceProfile(tuple(buckets))
+    # One stable sort makes each bucket a slice of the metres in the
+    # pairs' own order, so its sums, means and stds are those of the
+    # bucket picked out by a mask. The sort runs on the hops as small
+    # integers (a finite hop is below n; inf becomes n), which numpy
+    # sorts stably by radix. Ascending, so the infinite bucket is last.
+    order = np.argsort(np.minimum(graph_d, g.n).astype(
+        np.min_scalar_type(g.n)), kind="stable")
+    graph_d, spatial = graph_d[order], spatial[order]
+    cuts = np.flatnonzero(graph_d[1:] != graph_d[:-1]) + 1
+    return DistanceProfile(tuple(
+        ProfileBucket(graph_distance=float(graph_d[start]),
+                      count=int(sel.size), mean_spatial=float(sel.mean()),
+                      std_spatial=float(sel.std()))
+        for start, sel in zip(np.concatenate(([0], cuts)),
+                              np.split(spatial, cuts))))
 
 
 def summarize(g: ConfrontGraph, baseline: int | None = None,

@@ -244,7 +244,7 @@ def read_cache(path: str | Path) -> ConfrontGraph:
     try:
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedRecord(f"unreadable graph cache: {exc}",
                               path=str(path)) from None
     if (not isinstance(payload, dict)

@@ -482,3 +482,53 @@ def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
     assert err.startswith("error: corrupt graph cache: ")
     assert err.count("\n") == 1
     assert str(path) in err
+
+
+# An integer too large for a float, as JSON text: 10**400 overflows a
+# float; a 5000-digit literal also exceeds Python's int parsing limit.
+BIG = "1" + "0" * 400
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("record,message", [
+    ('{"id": "h", "kind": "Property", "dim": "Punctual", "coord": [%s, 0]}'
+     % BIG, "object 'h': coordinates must be two finite numbers"),
+    ('{"id": "h", "kind": "Property", "dim": "Punctual", "coord": [0, -%s]}'
+     % BIG, "object 'h': coordinates must be two finite numbers"),
+    ('{"id": "s", "kind": "Street", "dim": "Linear", "length_m": %s}' % BIG,
+     "object 's': length_m must be a finite positive number, got inf"),
+    ('{"id": "s", "kind": "Street", "dim": "Linear", "segments": '
+     '[{"id": "s0", "coord": [%s, 0]}]}' % BIG,
+     "segment 's0': coordinates must be two finite numbers"),
+    ('{"id": "h", "kind": "Property", "dim": "Punctual", "coord": [%s, 0]}'
+     % HUGE, "invalid JSON: Exceeds the limit"),
+], ids=["coord-x", "coord-y-negative", "length_m", "segment-coord",
+        "coord-beyond-int-parsing"])
+def test_oversized_json_integers_are_located_data_errors(capsys, tmp_path,
+                                                         record, message):
+    objects, relations = tmp_path / "objects.json", tmp_path / "relations.json"
+    objects.write_text(f"[{record}]")
+    relations.write_text("[]")
+    code, _, err = run(capsys, "extract", "--objects", str(objects),
+                       "--relations", str(relations), "--method", "RFW_all",
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert err.rstrip().endswith(f"[{objects}]")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coord", [BIG, HUGE], ids=["overflow", "too-long"])
+def test_a_cache_with_an_oversized_coordinate_is_a_data_error(capsys,
+                                                              tmp_path, coord):
+    path = tmp_path / f"g{CACHE_SUFFIX}"
+    write_cache(make_graph([(0, 1)], coords={0: (1.0, 0.0)}), path)
+    text = gzip.decompress(path.read_bytes()).decode()
+    assert text.count("[1.0,0.0]") == 1
+    path.write_bytes(gzip.compress(
+        text.replace("[1.0,0.0]", f"[{coord},0.0]").encode()))
+    code, _, err = run(capsys, "communities", "--graph", str(path),
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert str(path) in err and err.count("\n") == 1

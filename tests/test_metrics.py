@@ -1,12 +1,15 @@
 """Distance, density, correlation and profile statistics.
 
-The scipy-backed implementations are checked against plain-Python
-oracles: a deque BFS for distances and a sort-based average-rank
-Spearman. Hand-computed cases pin the conventions (harmonic mean with
-infinite pairs, population standard deviation, tie handling). The
-single-pass statistics are also checked for exact equality against the
-earlier matrix formulas (`triu_indices`, `np.ix_`, an n x n x 2 `hypot`,
-`rankdata` on both sides), and for making one hop pass per graph."""
+The implementations are checked against plain-Python oracles: a deque
+BFS for distances and a sort-based average-rank Spearman. Hand-computed
+cases pin the conventions (harmonic mean with infinite pairs, population
+standard deviation, tie handling). The single-pass statistics are also
+checked for exact equality against the earlier matrix formulas
+(`triu_indices`, `np.ix_`, an n x n x 2 `hypot`, `rankdata` on both
+sides), and for making one hop pass per graph. The bitset hop engine is
+checked against scipy's `shortest_path` across word boundaries, on
+disconnected graphs and on paths long enough to need 16-bit hops; scipy
+is a test-only dependency, and the package runs without it."""
 
 import math
 import os
@@ -496,3 +499,134 @@ def test_extract_single_method_makes_no_hop_pass(hop_passes, tmp_path,
     g = read_cache(tmp_path / "out" / f"EFS_k{cli.CACHE_SUFFIX}")
     s = summarize(g, db.property_baseline)
     assert out == f"EFS_k: n={s.n} m={s.m} components={s.components}\n"
+
+
+# --- the bitset hop engine against scipy ----------------------------------
+
+def scipy_hops(g):
+    """The all-pairs hop matrix from scipy's shortest paths, the oracle of
+    the bitset engine (float64, inf when unreachable)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+    if g.n == 0:
+        return np.zeros((0, 0))
+    pairs = np.array(g.undirected_pairs(), dtype=int).reshape(-1, 2)
+    adjacency = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                           shape=(g.n, g.n))
+    return shortest_path(adjacency, directed=False, unweighted=True)
+
+
+def scrambled_graph(seed, n, p, isolated=0):
+    """n vertices in random order, random edges in random direction and
+    order, a quarter of them doubled by an anti-parallel edge of another
+    type, and `isolated` of the vertices left without edges."""
+    rnd = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    rnd.shuffle(names)
+    linked = names[:n - isolated]
+    edges = [Edge(a, b, R) for i, a in enumerate(linked)
+             for b in linked[i + 1:] if rnd.random() < p]
+    edges += [Edge(e.target, e.source, N)
+              for e in rnd.sample(edges, len(edges) // 4)]
+    rnd.shuffle(edges)
+    return ConfrontGraph(
+        [make_vertex(v, coord=(rnd.uniform(0, 500), rnd.uniform(0, 500))
+                     if rnd.random() < 0.8 else None) for v in names], edges)
+
+
+def assert_engine_matches_scipy(g):
+    table = all_pairs_graph_distance(g)
+    want = scipy_hops(g)
+    assert table.hops.shape == (g.n, g.n)
+    assert table.matrix.dtype == np.float64
+    assert np.array_equal(table.matrix, want)
+    finite = want[np.isfinite(want)]
+    d_max = int(finite.max()) if finite.size else 0
+    assert table.hops.dtype == (np.uint8 if d_max < 255 else np.uint16)
+    return table
+
+
+ENGINE_CASES = (
+    [pytest.param(n, p, iso, seed, id=f"n{n}-p{p}-iso{iso}-s{seed}")
+     for n in (0, 1, 2, 63, 64, 65, 129)
+     for p, iso in ((0.0, 0), (0.03, 0), (0.03, 5), (0.2, 1))
+     for seed in range(2) if iso <= n]
+    + [pytest.param(None, None, None, seed, id=f"random{seed}")
+       for seed in range(30)])
+
+
+@pytest.mark.parametrize("n,p,isolated,seed", ENGINE_CASES)
+def test_bitset_engine_matches_scipy(n, p, isolated, seed):
+    if n is None:  # size, density and isolates drawn from the seed
+        rnd = random.Random(1000 + seed)
+        n = rnd.randint(2, 200)
+        p = rnd.choice((0.005, 0.01, 0.02, 0.05, 0.3))
+        isolated = rnd.randint(0, 4)
+    assert_engine_matches_scipy(scrambled_graph(seed, n, p, isolated))
+
+
+@pytest.mark.parametrize("length,isolated", [
+    (255, 1),  # d_max 254: the largest that uint8 holds beside its mark
+    (256, 1),  # d_max 255 needs uint16
+    (300, 0),  # d_max 299, connected
+    (300, 2),
+])
+def test_long_paths_widen_the_hop_matrix(length, isolated):
+    g = make_graph([(i, i + 1) for i in range(length - 1)],
+                   n=length + isolated)
+    table = assert_engine_matches_scipy(g)
+    assert int(table.hops[0, length - 1]) == length - 1
+    assert summarize(g).d_max == length - 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
+    rnd = random.Random(seed)
+    g = scrambled_graph(seed, rnd.randint(2, 150),
+                        rnd.choice((0.01, 0.03, 0.1)), rnd.randint(0, 3))
+    want = scipy_hops(g)
+    pairs = metrics.pair_distances(g)
+    assert np.array_equal(pairs.hops, want[np.triu_indices(g.n, k=1)])
+    index = g.vertex_index()
+    idx = [index[v.id] for v in g.vertices.values() if v.coord is not None]
+    if len(idx) < 2:
+        assert pairs.located is None
+        return
+    located_hops, metres = pairs.located
+    assert located_hops.dtype == metres.dtype == np.float64
+    assert np.array_equal(
+        located_hops, want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
+
+
+def run_python(code):
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_out_every_scipy_module():
+    probe = run_python(
+        "import sys, confront_net.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_stats_profile_runs_without_scipy(tmp_path):
+    save_database(synthetic_database(0), tmp_path / "objects.csv",
+                  tmp_path / "relations.csv", tmp_path / "segments.csv")
+    argv = ["stats", "--objects", str(tmp_path / "objects.csv"),
+            "--relations", str(tmp_path / "relations.csv"),
+            "--segments", str(tmp_path / "segments.csv"),
+            "--method", "EFS_k", "--k", "2", "--threshold", "4",
+            "--out", str(tmp_path / "stats.csv"), "--profile"]
+    run = run_python(
+        "import sys; sys.modules['scipy'] = None; "
+        "from confront_net import cli; "
+        f"sys.exit(cli.main({argv!r}))")
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "stats.csv").exists()
+    assert (tmp_path / "profile_EFS_k.csv").exists()
