@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse: "invalid integer value: ..."
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_db_arguments(parser: argparse.ArgumentParser,
                       required: bool = True) -> None:
     parser.add_argument("--objects", type=Path, required=required,
@@ -430,9 +440,9 @@ def _build_parser() -> _Parser:
                        help="method code to extract")
     group.add_argument("--all", action="store_true",
                        help="extract all 16 methods")
-    p_extract.add_argument("--k", type=int, default=None,
+    p_extract.add_argument("--k", type=_int_at_least(0), default=None,
                            help="number of longest streets for _k methods")
-    p_extract.add_argument("--threshold", type=int, default=25,
+    p_extract.add_argument("--threshold", type=_int_at_least(1), default=25,
                            help="minimum component size (default 25)")
     p_extract.add_argument("--out", type=Path, required=True,
                            help="output directory")
@@ -452,8 +462,8 @@ def _build_parser() -> _Parser:
     p_stats.add_argument("--method", choices=METHOD_CODES, default=None)
     p_stats.add_argument("--all", action="store_true",
                          help="compute all 16 methods inline")
-    p_stats.add_argument("--k", type=int, default=None)
-    p_stats.add_argument("--threshold", type=int, default=25)
+    p_stats.add_argument("--k", type=_int_at_least(0), default=None)
+    p_stats.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_stats.add_argument("--out", type=Path, default=None,
                          help="output CSV (default stdout)")
     p_stats.add_argument("--profile", action="store_true",
@@ -468,7 +478,7 @@ def _build_parser() -> _Parser:
                          required=True, help="method family to sweep")
     p_sweep.add_argument("--k-range", default=None, metavar="A..B",
                          help="inclusive k range (default 0..10%% of streets)")
-    p_sweep.add_argument("--threshold", type=int, default=25)
+    p_sweep.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_sweep.add_argument("--out", type=Path, default=None,
                          help="output CSV (default stdout)")
     p_sweep.add_argument("--warnings", action="store_true")
@@ -480,8 +490,8 @@ def _build_parser() -> _Parser:
     p_comm.add_argument("--graph", type=Path, default=None,
                         help=f"graph cache file (*{CACHE_SUFFIX})")
     p_comm.add_argument("--method", choices=METHOD_CODES, default=None)
-    p_comm.add_argument("--k", type=int, default=None)
-    p_comm.add_argument("--threshold", type=int, default=25)
+    p_comm.add_argument("--k", type=_int_at_least(0), default=None)
+    p_comm.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_comm.add_argument("--seed", type=int, default=0,
                         help="Louvain shuffle seed (default 0)")
     p_comm.add_argument("--out", type=Path, required=True,

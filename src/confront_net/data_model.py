@@ -191,40 +191,55 @@ class Database:
     @classmethod
     def from_parts(cls, objects: Iterable[SpatialObject],
                    relations: Iterable[RelationRecord]) -> "Database":
-        index: dict[str, SpatialObject] = {}
-        for obj in objects:
-            if obj.id in index:
-                raise DuplicateId(f"duplicate object id {obj.id!r}")
-            index[obj.id] = obj
-        rels: list[RelationRecord] = []
-        seen_rel_ids: set[str] = set()
+        index = _index_objects(objects)
+        rels: dict[str, RelationRecord] = {}
         for rel in relations:
-            if rel.id in seen_rel_ids:
-                raise DuplicateId(f"duplicate relation id {rel.id!r}")
-            seen_rel_ids.add(rel.id)
-            for endpoint in (rel.source_id, rel.target_id):
-                if endpoint not in index:
-                    raise DanglingEndpoint(
-                        f"relation {rel.id!r} references missing object "
-                        f"{endpoint!r}")
-            if rel.target_segment is not None:
-                target = index[rel.target_id]
-                if rel.target_segment not in target.segment_ids():
-                    raise DanglingEndpoint(
-                        f"relation {rel.id!r}: segment "
-                        f"{rel.target_segment!r} is not declared on object "
-                        f"{rel.target_id!r}")
-            if rel.origin is RelationOrigin.ADDITIONAL:
-                kinds = {index[rel.source_id].kind, index[rel.target_id].kind}
-                if kinds not in ({ObjectKind.STREET},
-                                 {ObjectKind.STREET, ObjectKind.EDIFICE}):
-                    raise MalformedRecord(
-                        f"relation {rel.id!r}: Additional relations connect "
-                        f"only street-street or edifice-street pairs")
-            rels.append(rel)
-        baseline = _property_baseline(index, rels)
-        return cls(objects=index, relations=tuple(rels),
-                   property_baseline=baseline)
+            _add_relation(rel, index, rels)
+        return cls._of_checked(index, rels)
+
+    @classmethod
+    def _of_checked(cls, index: dict[str, SpatialObject],
+                    relations: dict[str, RelationRecord]) -> "Database":
+        """The database of records that passed the cross-record checks."""
+        rels = tuple(relations.values())
+        return cls(index, rels, _property_baseline(index, rels))
+
+
+def _index_objects(
+        objects: Iterable[SpatialObject]) -> dict[str, SpatialObject]:
+    index: dict[str, SpatialObject] = {}
+    for obj in objects:
+        if obj.id in index:
+            raise DuplicateId(f"duplicate object id {obj.id!r}")
+        index[obj.id] = obj
+    return index
+
+
+def _add_relation(rel: RelationRecord, index: Mapping[str, SpatialObject],
+                  relations: dict[str, RelationRecord]) -> None:
+    """Add `rel` to `relations` by id, once it passes the checks against
+    the objects by id and the relations before it."""
+    if rel.id in relations:
+        raise DuplicateId(f"duplicate relation id {rel.id!r}")
+    for endpoint in (rel.source_id, rel.target_id):
+        if endpoint not in index:
+            raise DanglingEndpoint(
+                f"relation {rel.id!r} references missing object "
+                f"{endpoint!r}")
+    if rel.target_segment is not None:
+        target = index[rel.target_id]
+        if rel.target_segment not in target.segment_ids():
+            raise DanglingEndpoint(
+                f"relation {rel.id!r}: segment {rel.target_segment!r} is not "
+                f"declared on object {rel.target_id!r}")
+    if rel.origin is RelationOrigin.ADDITIONAL:
+        kinds = {index[rel.source_id].kind, index[rel.target_id].kind}
+        if kinds not in ({ObjectKind.STREET},
+                         {ObjectKind.STREET, ObjectKind.EDIFICE}):
+            raise MalformedRecord(
+                f"relation {rel.id!r}: Additional relations connect only "
+                f"street-street or edifice-street pairs")
+    relations[rel.id] = rel
 
 
 class _UnionFind:
@@ -440,14 +455,12 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
         for _, _, owner, seg in entries:
             segs.setdefault(owner, []).append(seg)
 
-    objects: list[SpatialObject] = []
-    object_ids: set[str] = set()
+    index: dict[str, SpatialObject] = {}
     for lineno, row in _read_csv(objects_path, _OBJECT_HEADER):
         with _located(objects_path, lineno):
             oid = row["id"]
-            if oid in object_ids:
+            if oid in index:
                 raise DuplicateId(f"duplicate object id {oid!r}")
-            object_ids.add(oid)
             kind = _parse_enum(ObjectKind, row["kind"])
             dim = _parse_enum(Dimensionality, row["dim"])
             coord = _parse_coord(row["x"], row["y"])
@@ -456,27 +469,28 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
                      if row["inside_old_walls"] else None)
             declared = (_parse_bool(row["declared"]) if row["declared"]
                         else None)
-            objects.append(SpatialObject(
+            index[oid] = SpatialObject(
                 id=oid, name=row["name"], kind=kind, dim=dim, coord=coord,
                 length_m=length, parish=row["parish"] or None,
                 inside_old_walls=walls, declared=declared,
-                segments=tuple(segs.get(oid, ()))))
+                segments=tuple(segs.get(oid, ())))
     for owner in segs:
-        if owner not in object_ids:
+        if owner not in index:
             with _located(segments_path, first_line[owner]):
                 raise DanglingEndpoint(
                     f"segments reference missing object {owner!r}")
 
-    relations: list[RelationRecord] = []
+    relations: dict[str, RelationRecord] = {}
     for lineno, row in _read_csv(relations_path, _RELATION_HEADER):
         with _located(relations_path, lineno):
-            relations.append(RelationRecord(
+            _add_relation(RelationRecord(
                 id=row["id"], source_id=row["source_id"],
                 target_id=row["target_id"], raw_type=row["raw_type"],
                 origin=_parse_enum(RelationOrigin,
                                    row["origin"] or "Primary"),
-                target_segment=row["target_segment"] or None))
-    return Database.from_parts(objects, relations)
+                target_segment=row["target_segment"] or None),
+                index, relations)
+    return Database._of_checked(index, relations)
 
 
 def _json_records(path: Path, kind: str) -> Iterator[dict]:
@@ -549,12 +563,13 @@ def _json_relation(rec: dict) -> RelationRecord:
 
 def _load_json(objects_path: Path, relations_path: Path) -> Database:
     with _located(objects_path):
-        objects = [_json_object(rec)
-                   for rec in _json_records(objects_path, "object")]
+        index = _index_objects(
+            _json_object(rec) for rec in _json_records(objects_path, "object"))
+    relations: dict[str, RelationRecord] = {}
     with _located(relations_path):
-        relations = [_json_relation(rec)
-                     for rec in _json_records(relations_path, "relation")]
-    return Database.from_parts(objects, relations)
+        for rec in _json_records(relations_path, "relation"):
+            _add_relation(_json_relation(rec), index, relations)
+    return Database._of_checked(index, relations)
 
 
 def _fmt_opt(value: Any) -> str:

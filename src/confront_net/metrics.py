@@ -1,8 +1,10 @@
 """Topological and spatial statistics of a confront graph.
 
 Everything runs on the collapsed undirected simple view except density,
-which uses the directed edge count. Distances are unweighted hops;
-unreachable pairs are infinite. One hop pass per graph; every statistic
+which uses the directed edge count. Distances are unweighted hops,
+held from the search to the last statistic as unsigned integers whose
+type's maximum (`_unreachable`) marks an unreachable pair; that mark
+counts as an infinite distance. One hop pass per graph; every statistic
 derives from it: `pair_distances` runs the all-pairs search once and
 keeps only the pair vectors that d_max, d_harm, rho_d and the distance
 profile read. The search is a breadth-first search from every source at
@@ -10,8 +12,8 @@ once over packed bitsets (Then et al., "The More the Merrier: Efficient
 Multi-Source Graph Traversal", PVLDB 8(4), 2014), in numpy alone.
 Spatial statistics (rank correlation, distance profile) consider only
 vertex pairs where both ends carry coordinates. Hops and metres are
-ranked by the one average-rank function `_average_ranks`, which treats
-infinite hop distances as one tied block of maximal ranks;
+ranked by the one average-rank function `_average_ranks`, in which the
+unreachable mark sorts last as one tied block;
 `rank_correlation` is the one Spearman correlation.
 """
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,29 +58,11 @@ class DistanceProfile:
 
 
 @dataclass(frozen=True)
-class DistanceTable:
-    ids: tuple[str, ...]
-    # (n, n) hops in the smallest unsigned type holding d_max + 1; the
-    # type's maximum marks unreachable pairs
-    hops: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """(n, n) float64 hops, inf when unreachable."""
-        return _float_hops(self.hops)
-
-    def get(self, u: str, v: str) -> float:
-        i = self.ids.index(u)
-        j = self.ids.index(v)
-        return float(self.matrix[i, j])
-
-
-@dataclass(frozen=True)
 class PairDistances:
     """The result of one hop pass, over unordered pairs i < j in vertex
     order (the row-major upper triangle)."""
 
-    hops: np.ndarray  # every pair, float64, inf when unreachable
+    hops: np.ndarray  # every pair, in the type of the hop matrix
     # (hops, Euclidean metres) over pairs of located vertices; None when
     # fewer than two vertices carry coordinates.
     located: tuple[np.ndarray, np.ndarray] | None
@@ -91,16 +74,16 @@ def density(g: ConfrontGraph) -> float:
     return g.m / (g.n * (g.n - 1))
 
 
-def _float_hops(hops: np.ndarray) -> np.ndarray:
-    """Integer hops as float64, the unreachable mark as inf."""
-    out = hops.astype(float)
-    out[hops == np.iinfo(hops.dtype).max] = math.inf
-    return out
+def _unreachable(hops: np.ndarray) -> int:
+    """The mark of an unreachable pair: the maximum of the hops' type."""
+    return int(np.iinfo(hops.dtype).max)
 
 
-def all_pairs_graph_distance(g: ConfrontGraph) -> DistanceTable:
-    """Hops between every pair, from a breadth-first search that runs
-    from every source at once.
+def all_pairs_graph_distance(g: ConfrontGraph) -> np.ndarray:
+    """The (n, n) hop matrix in vertex order, from a breadth-first search
+    that runs from every source at once. Its type is the smallest
+    unsigned one holding d_max + 1 (`uint8`, or `uint16` once
+    d_max >= 255), and the type's maximum marks unreachable pairs.
 
     Row v of `seen` and `frontier` is a bitset over the sources, packed
     in uint64 words: bit s is set once source s has reached v. Each level
@@ -110,7 +93,6 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> DistanceTable:
     `planes[b]`, so the n x n matrix is unpacked once per bit, not once
     per level; pairs never reached get every bit, the unreachable mark.
     """
-    ids = tuple(g.vertex_ids())
     n = g.n
     words = -(-n // 64)
     pairs = np.array(g.undirected_pairs(), dtype=np.intp).reshape(-1, 2)
@@ -149,25 +131,24 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> DistanceTable:
     hops = unpacked(~seen) * np.iinfo(dtype).max
     for b, plane in enumerate(planes):
         hops |= unpacked(plane) << b
-    return DistanceTable(ids, hops)
+    return hops
 
 
 def pair_distances(g: ConfrontGraph) -> PairDistances:
     """Run the all-pairs hop search once and keep the pair vectors.
 
-    Vectors are filled row by row from the integer hop matrix, then turned
-    into floats once, so no index arrays, float matrix, located-vertex
-    submatrix or coordinate-difference cube is built, and the n x n
-    matrix is released when this returns.
+    Vectors are filled row by row from the hop matrix and keep its type,
+    so no index arrays, float matrix, located-vertex submatrix or
+    coordinate-difference cube is built, and the n x n matrix is released
+    when this returns.
     """
-    matrix = all_pairs_graph_distance(g).hops
+    matrix = all_pairs_graph_distance(g)
     n = matrix.shape[0]
     hops = np.empty(n * (n - 1) // 2, matrix.dtype)
     pos = 0
     for i in range(n - 1):
         hops[pos:pos + n - 1 - i] = matrix[i, i + 1:]
         pos += n - 1 - i
-    hops = _float_hops(hops)
     index = g.vertex_index()
     located = [(index[v.id], v.coord) for v in g.vertices.values()
                if v.coord is not None]
@@ -185,11 +166,11 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
         diff = xy[k] - xy[k + 1:]
         metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
         pos = end
-    return PairDistances(hops, (_float_hops(located_hops), metres))
+    return PairDistances(hops, (located_hops, metres))
 
 
 def _finite_max(hops: np.ndarray) -> int:
-    finite = hops[np.isfinite(hops)]
+    finite = hops[hops != _unreachable(hops)]
     if finite.size == 0:
         raise NoFinitePairs("every vertex pair is disconnected")
     return int(finite.max())
@@ -198,8 +179,9 @@ def _finite_max(hops: np.ndarray) -> int:
 def _harmonic_mean(hops: np.ndarray) -> float:
     if hops.size == 0:
         return math.inf
-    with np.errstate(divide="ignore"):
-        inv = np.where(np.isfinite(hops), 1.0 / hops, 0.0)
+    # Distinct vertices are never 0 hops apart.
+    inv = np.where(hops != _unreachable(hops),
+                   np.divide(1.0, hops, dtype=np.float64), 0.0)
     total = float(inv.sum())
     if total == 0.0:
         return math.inf
@@ -207,21 +189,28 @@ def _harmonic_mean(hops: np.ndarray) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, each tie block sharing the mean of its positions;
-    infinities rank as tied extreme blocks, and one NaN makes every rank
-    NaN. Ranks are exact half-integers built from integer counts."""
-    if np.isnan(values).any():
+    """1-based ranks, each tie block sharing the mean of its positions.
+    Unsigned values (hops) are their own codes, counted by `bincount`, so
+    the unreachable mark ranks last as infinity would. Other values go
+    through `np.unique`: infinities rank as tied extreme blocks, and one
+    NaN makes every rank NaN. Ranks are exact half-integers built from
+    integer counts."""
+    if values.dtype.kind == "u":
+        codes, counts = values, np.bincount(values)
+    elif np.isnan(values).any():
         return np.full(values.shape, np.nan)
-    _, codes, counts = np.unique(values, return_inverse=True,
-                                 return_counts=True)
-    return (2 * (np.cumsum(counts) - counts) + counts + 1)[codes] * 0.5
+    else:
+        _, codes, counts = np.unique(values, return_inverse=True,
+                                     return_counts=True)
+    return ((2 * (np.cumsum(counts) - counts) + counts + 1) * 0.5)[codes]
 
 
 def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rho with average ranks for ties; infinite values rank as
-    one tied maximal block. NaN when either side is constant."""
-    rx = _average_ranks(np.asarray(x, dtype=float))
-    ry = _average_ranks(np.asarray(y, dtype=float))
+    """Spearman rho with average ranks for ties; infinite values and the
+    unreachable mark of unsigned hops rank as one tied maximal block. NaN
+    when either side is constant."""
+    rx = _average_ranks(np.asarray(x))
+    ry = _average_ranks(np.asarray(y))
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
@@ -230,46 +219,28 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return float((rx * ry).sum() / denom)
 
 
-def _located(g: ConfrontGraph,
-             pairs: PairDistances) -> tuple[np.ndarray, np.ndarray]:
-    if pairs.located is None:
-        have = sum(1 for v in g.vertices.values() if v.coord is not None)
-        raise InsufficientCoordinates(
-            f"need at least 2 located vertices, have {have}")
-    return pairs.located
-
-
-def finite_diameter(g: ConfrontGraph) -> int:
-    return _finite_max(pair_distances(g).hops)
-
-
-def harmonic_mean_distance(g: ConfrontGraph) -> float:
-    """P / sum(1/d) over the P unordered pairs, disconnected pairs
-    contributing zero reciprocal; inf when nothing is connected."""
-    return _harmonic_mean(pair_distances(g).hops)
-
-
-def spearman_distance_correlation(g: ConfrontGraph) -> float:
-    return rank_correlation(*_located(g, pair_distances(g)))
-
-
 def distance_profile(g: ConfrontGraph,
                      pairs: PairDistances | None = None) -> DistanceProfile:
     """Mean and std of the spatial distance per hop count; `pairs`, when
     given, is the graph's `pair_distances` result, reused as is."""
-    graph_d, spatial = _located(
-        g, pairs if pairs is not None else pair_distances(g))
+    if pairs is None:
+        pairs = pair_distances(g)
+    if pairs.located is None:
+        have = sum(1 for v in g.vertices.values() if v.coord is not None)
+        raise InsufficientCoordinates(
+            f"need at least 2 located vertices, have {have}")
+    graph_d, spatial = pairs.located
     # One stable sort makes each bucket a slice of the metres in the
     # pairs' own order, so its sums, means and stds are those of the
-    # bucket picked out by a mask. The sort runs on the hops as small
-    # integers (a finite hop is below n; inf becomes n), which numpy
-    # sorts stably by radix. Ascending, so the infinite bucket is last.
-    order = np.argsort(np.minimum(graph_d, g.n).astype(
-        np.min_scalar_type(g.n)), kind="stable")
+    # bucket picked out by a mask. numpy sorts the small unsigned hops
+    # stably by radix; ascending, so the unreachable bucket is last.
+    order = np.argsort(graph_d, kind="stable")
     graph_d, spatial = graph_d[order], spatial[order]
     cuts = np.flatnonzero(graph_d[1:] != graph_d[:-1]) + 1
+    mark = _unreachable(graph_d)
     return DistanceProfile(tuple(
-        ProfileBucket(graph_distance=float(graph_d[start]),
+        ProfileBucket(graph_distance=(math.inf if graph_d[start] == mark
+                                      else float(graph_d[start])),
                       count=int(sel.size), mean_spatial=float(sel.mean()),
                       std_spatial=float(sel.std()))
         for start, sel in zip(np.concatenate(([0], cuts)),

@@ -1,10 +1,16 @@
 """Shared builders: quick graphs, quick databases, and the randomized
-synthetic database generator used by the pipeline invariant suite."""
+synthetic database generator used by the pipeline invariant suite; and
+the per-statistic views of a graph's hops that the oracles compare
+against."""
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
+
+from confront_net import metrics
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
@@ -31,6 +37,35 @@ def make_graph(edge_list, n=None, coords=None) -> ConfrontGraph:
     edges = [Edge(f"v{i}", f"v{j}", NormalizedType.RELATED_TO)
              for i, j in edge_list]
     return ConfrontGraph(vertices, edges)
+
+
+def float_hops(hops: np.ndarray) -> np.ndarray:
+    """Integer hops as float64, the unreachable mark as inf."""
+    out = hops.astype(np.float64)
+    out[hops == np.iinfo(hops.dtype).max] = math.inf
+    return out
+
+
+def hop_matrix(g: ConfrontGraph) -> np.ndarray:
+    """The (n, n) hops of `g` in vertex order, float64, inf when
+    unreachable."""
+    return float_hops(metrics.all_pairs_graph_distance(g))
+
+
+def finite_diameter(g: ConfrontGraph) -> int:
+    """d_max over every pair; NoFinitePairs when none is connected."""
+    return metrics._finite_max(metrics.pair_distances(g).hops)
+
+
+def harmonic_mean_distance(g: ConfrontGraph) -> float:
+    """P / sum(1/d) over the P unordered pairs, disconnected pairs
+    contributing zero reciprocal; inf when nothing is connected."""
+    return metrics._harmonic_mean(metrics.pair_distances(g).hops)
+
+
+def spearman_distance_correlation(g: ConfrontGraph) -> float:
+    """rho_d over the pairs of located vertices (at least two)."""
+    return metrics.rank_correlation(*metrics.pair_distances(g).located)
 
 
 def random_graph(rng: random.Random, max_n: int = 50,

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph, synthetic_database
+from conftest import (harmonic_mean_distance, hop_matrix, make_graph,
+                      random_graph, synthetic_database)
 from test_metrics import bfs_oracle, spearman_oracle
 from test_normalize import frozen_expectation
 from test_sweep import oracle_front, pt
@@ -30,9 +31,7 @@ from confront_net.errors import UnmappableType
 from confront_net.extract import (METHOD_CODES, ExtractionMethod,
                                   build_full_graph, extract,
                                   segment_vertex_id)
-from confront_net.metrics import (all_pairs_graph_distance,
-                                  harmonic_mean_distance, rank_correlation,
-                                  summarize)
+from confront_net.metrics import rank_correlation, summarize
 from confront_net.normalize import (merge_equal_objects, normalization_rows,
                                     normalize_relation_type)
 from confront_net.relation_types import (EGAL, RAW_RELATION_TYPES,
@@ -149,17 +148,18 @@ def test_criterion_3_distance_oracle():
     with criterion(3, "distance oracle"):
         for _ in range(100):
             g = random_graph(rng, max_n=50)
-            table = all_pairs_graph_distance(g)
+            ids = g.vertex_ids()
+            matrix = hop_matrix(g)
             want = bfs_oracle(g)
-            for i, u in enumerate(table.ids):
-                for j, v in enumerate(table.ids):
-                    got = table.matrix[i, j]
+            for i, u in enumerate(ids):
+                for j, v in enumerate(ids):
+                    got = matrix[i, j]
                     exp = want[u].get(v, math.inf)
                     assert got == exp, (u, v)
             n = g.n
             recip = sum(1.0 / want[u][v]
-                        for i, u in enumerate(table.ids)
-                        for v in table.ids[i + 1:] if v in want[u] and u != v)
+                        for i, u in enumerate(ids)
+                        for v in ids[i + 1:] if v in want[u] and u != v)
             direct = math.inf if recip == 0 else (n * (n - 1) / 2) / recip
             got = harmonic_mean_distance(g)
             if math.isinf(direct):

@@ -397,6 +397,29 @@ def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
     assert len(full_builds) == 1
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("extract", "--method", "EFS_k", "--k", "-1", "--out", "x"), "--k"),
+    (("extract", "--all", "--k", "1", "--threshold", "0", "--out", "x"),
+     "--threshold"),
+    (("stats", "--method", "EFS_k", "--k", "-2"), "--k"),
+    (("stats", "--all", "--k", "1", "--threshold", "0"), "--threshold"),
+    (("sweep", "--base", "EFS", "--threshold", "0"), "--threshold"),
+    (("sweep", "--base", "EFS", "--threshold", "many"), "--threshold"),
+    (("communities", "--method", "EFS_k", "--k", "-1", "--out", "x"), "--k"),
+    (("communities", "--method", "EFS_all", "--threshold", "-3", "--out",
+      "x"), "--threshold"),
+])
+def test_out_of_range_k_or_threshold_is_a_usage_error(capsys, tmp_path,
+                                                      argv, option):
+    # The inputs do not exist: the option is refused before any is read.
+    missing = ["--objects", str(tmp_path / "objects.csv"),
+               "--relations", str(tmp_path / "relations.csv")]
+    code, _, err = run(capsys, argv[0], *missing, *argv[1:])
+    assert code == 1
+    assert f"argument {option}: " in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])
 def test_sweep_rejects_bad_ranges(capsys, db_files, bad):
     code, _, err = run(capsys, "sweep", *db_files["argv"],

@@ -530,6 +530,73 @@ def test_orphan_segments_name_their_file_and_first_line(tmp_path):
         f"segments reference missing object 'ghost' [{segments}:3]")
 
 
+# Relations that fail a check against other records: (relation after
+# r1, error, message).
+CROSS_RECORD_ERRORS = [
+    pytest.param(("r2", "p1", "p9", "Juxta", None, None), DanglingEndpoint,
+                 "relation 'r2' references missing object 'p9'",
+                 id="missing-object"),
+    pytest.param(("r1", "p2", "st", "Juxta", None, None), DuplicateId,
+                 "duplicate relation id 'r1'", id="repeated-id"),
+    pytest.param(("r2", "p1", "st", "Juxta", None, "s9"), DanglingEndpoint,
+                 "relation 'r2': segment 's9' is not declared on object "
+                 "'st'", id="undeclared-segment"),
+    pytest.param(("r2", "p1", "st", "Juxta", "Additional", None),
+                 MalformedRecord,
+                 "relation 'r2': Additional relations connect only "
+                 "street-street or edifice-street pairs",
+                 id="bad-additional-pair"),
+]
+CROSS_RECORD_OBJECTS = [
+    {"id": "p1", "kind": "Property", "dim": "Punctual"},
+    {"id": "p2", "kind": "Property", "dim": "Punctual"},
+    {"id": "st", "kind": "Street", "dim": "Linear",
+     "segments": [{"id": "s0"}, {"id": "s1"}]}]
+
+
+@pytest.mark.parametrize("rel,error,message", CROSS_RECORD_ERRORS)
+def test_cross_record_errors_name_their_csv_line(tmp_path, rel, error,
+                                                 message):
+    objects = write(tmp_path / "objects.csv", "\n".join([
+        OBJ_HEADER, "p1,,Property,Punctual,,,,,,",
+        "p2,,Property,Punctual,,,,,,", "st,,Street,Linear,,,,,,", ""]))
+    segments = write(tmp_path / "segments.csv", "\n".join([
+        "object_id,segment_id,order,x,y", "st,s0,0,,", "st,s1,1,,", ""]))
+    relations = write(tmp_path / "relations.csv", "\n".join([
+        REL_HEADER, "r1,p1,p2,Juxta,,",
+        ",".join(field or "" for field in rel), "r3,p2,p1,Juxta,,", ""]))
+    with pytest.raises(error) as exc:
+        load_database(objects, relations, segments)
+    assert str(exc.value) == f"{message} [{relations}:3]"
+
+
+@pytest.mark.parametrize("rel,error,message", CROSS_RECORD_ERRORS)
+def test_cross_record_errors_name_their_json_file(tmp_path, rel, error,
+                                                  message):
+    objects = tmp_path / "objects.json"
+    relations = tmp_path / "relations.json"
+    objects.write_text(json.dumps(CROSS_RECORD_OBJECTS))
+    fields = ("id", "source_id", "target_id", "raw_type", "origin",
+              "target_segment")
+    relations.write_text(json.dumps([{**REL, "source_id": "p1",
+                                      "target_id": "p2"},
+                                     dict(zip(fields, rel))]))
+    with pytest.raises(error) as exc:
+        load_database(objects, relations)
+    assert str(exc.value) == f"{message} [{relations}]"
+
+
+def test_duplicate_json_object_ids_name_their_file(tmp_path):
+    objects = tmp_path / "objects.json"
+    relations = tmp_path / "relations.json"
+    objects.write_text(json.dumps(CROSS_RECORD_OBJECTS
+                                  + [CROSS_RECORD_OBJECTS[0]]))
+    relations.write_text("[]")
+    with pytest.raises(DuplicateId) as exc:
+        load_database(objects, relations)
+    assert str(exc.value) == f"duplicate object id 'p1' [{objects}]"
+
+
 # --- warnings -------------------------------------------------------------
 
 def test_validate_database_warnings():

@@ -25,7 +25,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from conftest import make_graph, make_vertex, random_graph, synthetic_database
+from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
+                      hop_matrix, make_graph, make_vertex, random_graph,
+                      spearman_distance_correlation, synthetic_database)
 from confront_net import cli, metrics
 from confront_net.data_model import save_database
 from confront_net.errors import InsufficientCoordinates, NoFinitePairs
@@ -33,9 +35,8 @@ from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge
 from confront_net.metrics import (DistanceProfile, ProfileBucket,
                                   all_pairs_graph_distance, density,
-                                  distance_profile, finite_diameter,
-                                  harmonic_mean_distance, rank_correlation,
-                                  spearman_distance_correlation, summarize)
+                                  distance_profile, rank_correlation,
+                                  summarize)
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
 from confront_net.serialize import read_cache
@@ -98,21 +99,21 @@ def spearman_oracle(x, y):
 @pytest.mark.parametrize("seed", range(20))
 def test_all_pairs_distance_matches_bfs(seed):
     g = random_graph(random.Random(seed))
-    table = all_pairs_graph_distance(g)
+    matrix, index = hop_matrix(g), g.vertex_index()
     oracle = bfs_oracle(g)
     for u in g.vertex_ids():
         for v in g.vertex_ids():
             expected = oracle[u].get(v, math.inf)
-            assert table.get(u, v) == expected
+            assert matrix[index[u], index[v]] == expected
 
 
 def test_distances_ignore_direction_and_multiplicity():
     vs = [make_vertex(v) for v in "abc"]
     g = ConfrontGraph(vs, [Edge("b", "a", R), Edge("a", "b", N),
                            Edge("b", "c", R)])
-    table = all_pairs_graph_distance(g)
-    assert table.get("a", "c") == 2
-    assert table.get("c", "a") == 2
+    matrix, index = hop_matrix(g), g.vertex_index()
+    assert matrix[index["a"], index["c"]] == 2
+    assert matrix[index["c"], index["a"]] == 2
 
 
 def test_finite_diameter_on_path():
@@ -221,9 +222,8 @@ def test_spearman_distance_ignores_unlocated_vertices():
                    coords={0: (0.0, 0.0), 1: (1.0, 0.0), 3: (3.0, 0.0)})
     # Only three located vertices take part; the result matches the
     # oracle on that restriction.
-    table = all_pairs_graph_distance(g)
-    x = [table.get("v0", "v1"), table.get("v0", "v3"),
-         table.get("v1", "v3")]
+    matrix = hop_matrix(g)
+    x = [matrix[0, 1], matrix[0, 3], matrix[1, 3]]
     y = [1.0, 3.0, 2.0]
     assert spearman_distance_correlation(g) == pytest.approx(
         spearman_oracle(x, y), abs=1e-12)
@@ -231,8 +231,9 @@ def test_spearman_distance_ignores_unlocated_vertices():
 
 def test_spearman_distance_needs_two_located_vertices():
     g = make_graph([(0, 1)], coords={0: (0.0, 0.0)})
+    assert math.isnan(summarize(g).rho_d)
     with pytest.raises(InsufficientCoordinates):
-        spearman_distance_correlation(g)
+        distance_profile(g)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -241,11 +242,11 @@ def test_spearman_distance_matches_oracle_on_random_graphs(seed):
     located = [v for v in g.vertices.values() if v.coord is not None]
     if len(located) < 2:
         pytest.skip("degenerate draw")
-    table = all_pairs_graph_distance(g)
+    matrix, index = hop_matrix(g), g.vertex_index()
     x, y = [], []
     for i, a in enumerate(located):
         for b in located[i + 1:]:
-            x.append(table.get(a.id, b.id))
+            x.append(matrix[index[a.id], index[b.id]])
             y.append(math.dist(a.coord, b.coord))
     want = spearman_oracle(x, y)
     got = spearman_distance_correlation(g)
@@ -335,7 +336,7 @@ def test_adding_edges_never_increases_harmonic_mean(seed):
 def seed_era_statistics(g):
     """(d_max, d_harm, rho_d, profile) computed the way the per-statistic
     implementation did: full matrices, index arrays, `rankdata` ranks."""
-    matrix = all_pairs_graph_distance(g).matrix
+    matrix = hop_matrix(g)
     dists = matrix[np.triu_indices(g.n, k=1)]
     finite = dists[np.isfinite(dists)]
     d_max = int(finite.max()) if finite.size else 0
@@ -407,7 +408,7 @@ def test_single_pass_statistics_equal_the_seed_formulas(build):
     assert harmonic_mean_distance(g) == d_harm
     if profile is None:
         with pytest.raises(InsufficientCoordinates):
-            spearman_distance_correlation(g)
+            distance_profile(g)
     else:
         assert same(spearman_distance_correlation(g), rho)
         assert distance_profile(g) == profile
@@ -431,6 +432,43 @@ def test_hop_ranks_equal_rankdata(values):
     got = metrics._average_ranks(array)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(st.sampled_from([np.uint8, np.uint16]).flatmap(
+    lambda dtype: st.lists(
+        st.one_of(st.integers(1, 40), st.just(int(np.iinfo(dtype).max))),
+        max_size=300).map(lambda values: np.array(values, dtype))))
+def test_integer_hop_ranks_equal_rankdata_of_the_float_view(hops):
+    """Unsigned hops take the `bincount` path; the unreachable mark ranks
+    as inf does in the float view."""
+    got = metrics._average_ranks(hops)
+    want = rankdata(float_hops(hops))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_harmonic_mean_of_integer_hops_equals_the_float_formula():
+    rnd = random.Random(7)
+    hops = np.array([rnd.choice((1, 2, 3, 7, 254, 255)) for _ in range(5000)],
+                    dtype=np.uint8)
+    dists = float_hops(hops)
+    with np.errstate(divide="ignore"):
+        inv = np.where(np.isfinite(dists), 1.0 / dists, 0.0)
+    assert metrics._harmonic_mean(hops) == dists.size / float(inv.sum())
+
+
+def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
+    # A located path of 300 vertices (d_max 299 needs uint16) and a
+    # located isolate, whose pairs form the unreachable bucket.
+    n = 300
+    g = make_graph([(i, i + 1) for i in range(n - 1)], n=n + 1,
+                   coords={i: (float(i % 17), float(i // 17))
+                           for i in range(n + 1)})
+    assert metrics.pair_distances(g).hops.dtype == np.uint16
+    profile = distance_profile(g)
+    assert profile.buckets[-1].graph_distance == math.inf
+    assert profile.buckets[-1].count == n
+    assert profile == seed_era_statistics(g)[3]
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -535,15 +573,14 @@ def scrambled_graph(seed, n, p, isolated=0):
 
 
 def assert_engine_matches_scipy(g):
-    table = all_pairs_graph_distance(g)
+    hops = all_pairs_graph_distance(g)
     want = scipy_hops(g)
-    assert table.hops.shape == (g.n, g.n)
-    assert table.matrix.dtype == np.float64
-    assert np.array_equal(table.matrix, want)
+    assert hops.shape == (g.n, g.n)
+    assert np.array_equal(float_hops(hops), want)
     finite = want[np.isfinite(want)]
     d_max = int(finite.max()) if finite.size else 0
-    assert table.hops.dtype == (np.uint8 if d_max < 255 else np.uint16)
-    return table
+    assert hops.dtype == (np.uint8 if d_max < 255 else np.uint16)
+    return hops
 
 
 ENGINE_CASES = (
@@ -574,8 +611,8 @@ def test_bitset_engine_matches_scipy(n, p, isolated, seed):
 def test_long_paths_widen_the_hop_matrix(length, isolated):
     g = make_graph([(i, i + 1) for i in range(length - 1)],
                    n=length + isolated)
-    table = assert_engine_matches_scipy(g)
-    assert int(table.hops[0, length - 1]) == length - 1
+    hops = assert_engine_matches_scipy(g)
+    assert int(hops[0, length - 1]) == length - 1
     assert summarize(g).d_max == length - 1
 
 
@@ -586,16 +623,21 @@ def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
                         rnd.choice((0.01, 0.03, 0.1)), rnd.randint(0, 3))
     want = scipy_hops(g)
     pairs = metrics.pair_distances(g)
-    assert np.array_equal(pairs.hops, want[np.triu_indices(g.n, k=1)])
+    matrix_type = all_pairs_graph_distance(g).dtype
+    assert pairs.hops.dtype == matrix_type
+    assert np.array_equal(float_hops(pairs.hops),
+                          want[np.triu_indices(g.n, k=1)])
     index = g.vertex_index()
     idx = [index[v.id] for v in g.vertices.values() if v.coord is not None]
     if len(idx) < 2:
         assert pairs.located is None
         return
     located_hops, metres = pairs.located
-    assert located_hops.dtype == metres.dtype == np.float64
+    assert located_hops.dtype == matrix_type
+    assert metres.dtype == np.float64
     assert np.array_equal(
-        located_hops, want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
+        float_hops(located_hops),
+        want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
 
 
 def run_python(code):
