@@ -457,7 +457,7 @@ def _build_parser() -> _Parser:
     _add_db_arguments(p_stats, required=False)
     p_stats.add_argument("--graphs", type=Path, default=None,
                          help=f"directory of *{CACHE_SUFFIX} files")
-    p_stats.add_argument("--baseline", type=int, default=None,
+    p_stats.add_argument("--baseline", type=_int_at_least(1), default=None,
                          help="coverage denominator for --graphs mode")
     p_stats.add_argument("--method", choices=METHOD_CODES, default=None)
     p_stats.add_argument("--all", action="store_true",

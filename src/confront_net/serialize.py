@@ -2,8 +2,8 @@
 cache format.
 
 Byte-identical output for identical graphs is a hard requirement, so
-everything renders to bytes through fixed-order writers and the gzip
-header is written with mtime=0. The cache format is versioned
+XML is written line by line exactly as ElementTree indents it, and the
+gzip header is written with mtime=0. The cache format is versioned
 JSON-in-gzip and is the only format this package reads back.
 """
 
@@ -13,8 +13,8 @@ import gzip
 import io
 import json
 import os
+import re
 import tempfile
-import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any
 
@@ -51,10 +51,34 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _xml_bytes(root: ET.Element) -> bytes:
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+# What ElementTree's _escape_cdata and _escape_attrib replace.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTRIB_ESCAPES = {**_TEXT_ESCAPES, **str.maketrans({
+    '"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})}
+_NEEDS_ESCAPE = re.compile('[&<>"\r\n\t]').search
+
+
+def _escape(text: str, table: dict[int, str] = _ATTRIB_ESCAPES) -> str:
+    return text.translate(table) if _NEEDS_ESCAPE(text) else text
+
+
+def _text(start: str, tag: str, text: str) -> str:
+    """An element holding only `text`, from its start `<tag attr="...`."""
+    if not text:
+        return start + " />"
+    return f"{start}>{_escape(text, _TEXT_ESCAPES)}</{tag}>"
+
+
+def _block(pad: str, tag: str, inner: list[str], attrs: str = "") -> list[str]:
+    """An element around its children's lines, `attrs` already rendered."""
+    if not inner:
+        return [f"{pad}<{tag}{attrs} />"]
+    return [f"{pad}<{tag}{attrs}>", *inner, f"{pad}</{tag}>"]
+
+
+def _document(lines: list[str]) -> bytes:
+    text = "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *lines, ""])
+    return text.encode("utf-8", "xmlcharrefreplace")
 
 
 def _fmt(value: Any) -> str:
@@ -65,144 +89,120 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _graph_data(g: ConfrontGraph, manifest_hash: str | None) -> list[tuple]:
+    return [(name, value) for name, value in (
+        ("method", None if g.method is None else g.method.code),
+        ("manifest", manifest_hash), ("table_version", TABLE_VERSION))
+        if value is not None]
+
+
 # --- GraphML --------------------------------------------------------------
 
-_NODE_KEYS = (
-    ("kind", "string"), ("dim", "string"), ("property", "boolean"),
-    ("x", "double"), ("y", "double"), ("parish", "string"),
-    ("inside_old_walls", "boolean"), ("source_object", "string"),
-    ("source_segment", "string"),
-)
+_GRAPH_KEYS = (("method", "string"), ("manifest", "string"),
+               ("table_version", "string"))
+_NODE_KEYS = (("kind", "string"), ("dim", "string"), ("property", "boolean"),
+              ("x", "double"), ("y", "double"), ("parish", "string"),
+              ("inside_old_walls", "boolean"), ("source_object", "string"),
+              ("source_segment", "string"))
 _EDGE_KEYS = (("type", "string"), ("origin", "string"))
 
 
 def _vertex_data(v: Vertex) -> list[tuple[str, Any]]:
-    items: list[tuple[str, Any]] = [("kind", v.kind.value),
-                                    ("dim", v.dim.value),
-                                    ("property", v.is_property)]
-    if v.coord is not None:
-        items.append(("x", v.coord[0]))
-        items.append(("y", v.coord[1]))
-    if v.parish is not None:
-        items.append(("parish", v.parish))
-    if v.inside_old_walls is not None:
-        items.append(("inside_old_walls", v.inside_old_walls))
-    items.append(("source_object", v.source_object))
-    if v.source_segment is not None:
-        items.append(("source_segment", v.source_segment))
-    return items
+    """The node keys that `v` has a value for, in `_NODE_KEYS` order."""
+    x, y = (None, None) if v.coord is None else v.coord
+    return [(name, value) for (name, _), value in zip(_NODE_KEYS, (
+        v.kind.value, v.dim.value, v.is_property, x, y, v.parish,
+        v.inside_old_walls, v.source_object, v.source_segment))
+        if value is not None]
 
 
 def graphml_bytes(g: ConfrontGraph, manifest_hash: str | None = None) -> bytes:
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
-    key_ids: dict[tuple[str, str], str] = {}
-    for domain, names in (("graph", (("method", "string"),
-                                     ("manifest", "string"),
-                                     ("table_version", "string"))),
-                          ("node", _NODE_KEYS), ("edge", _EDGE_KEYS)):
+    lines = [f'<graphml xmlns="{_GRAPHML_NS}">']
+    data: dict[tuple[str, str], str] = {}  # the start of each key's <data>
+    for domain, pad, names in (("graph", "    ", _GRAPH_KEYS),
+                               ("node", "      ", _NODE_KEYS),
+                               ("edge", "      ", _EDGE_KEYS)):
         for name, attr_type in names:
-            key_id = f"k{len(key_ids)}"
-            key_ids[(domain, name)] = key_id
-            ET.SubElement(root, "key", id=key_id, attrib={
-                "for": domain, "attr.name": name, "attr.type": attr_type})
-    graph = ET.SubElement(root, "graph", id="G", edgedefault="directed")
-
-    def data(parent: ET.Element, domain: str, name: str, value: Any) -> None:
-        el = ET.SubElement(parent, "data", key=key_ids[(domain, name)])
-        el.text = _fmt(value)
-
-    if g.method is not None:
-        data(graph, "graph", "method", g.method.code)
-    if manifest_hash is not None:
-        data(graph, "graph", "manifest", manifest_hash)
-    data(graph, "graph", "table_version", TABLE_VERSION)
+            key_id = f"k{len(data)}"
+            lines.append(f'  <key for="{domain}" attr.name="{name}" '
+                         f'attr.type="{attr_type}" id="{key_id}" />')
+            data[domain, name] = f'{pad}<data key="{key_id}"'
+    lines.append('  <graph id="G" edgedefault="directed">')
+    lines += [_text(data["graph", name], "data", value)
+              for name, value in _graph_data(g, manifest_hash)]
     for v in g.vertices.values():
-        node = ET.SubElement(graph, "node", id=v.id)
-        for name, value in _vertex_data(v):
-            data(node, "node", name, value)
+        lines.append(f'    <node id="{_escape(v.id)}">')
+        lines += [_text(data["node", name], "data", _fmt(value))
+                  for name, value in _vertex_data(v)]
+        lines.append("    </node>")
     for e in g.edges:
-        edge = ET.SubElement(graph, "edge", source=e.source, target=e.target)
-        data(edge, "edge", "type", e.type.value)
-        data(edge, "edge", "origin", e.origin)
-    return _xml_bytes(root)
+        lines += [f'    <edge source="{_escape(e.source)}" '
+                  f'target="{_escape(e.target)}">',
+                  _text(data["edge", "type"], "data", e.type.value),
+                  _text(data["edge", "origin"], "data", _fmt(e.origin)),
+                  "    </edge>"]
+    return _document(lines + ["  </graph>", "</graphml>"])
 
 
 # --- GEXF -----------------------------------------------------------------
 
+def _gexf(description: str | None, edge_type: str,
+          keys: dict[str, tuple[tuple[str, str], ...]],
+          nodes: list[tuple[str, list[tuple[str, str]]]],
+          edges: list[tuple[str, list[tuple[str, str]]]]) -> bytes:
+    """`keys` declares each class's attributes, numbered by position. A
+    node or edge is its rendered attributes and its (attribute id, value)
+    pairs; one without values has no <attvalues>."""
+    lines = [f'<gexf xmlns="{_GEXF_NS}" version="1.3">', "  <meta>",
+             "    <creator>confront-net</creator>"]
+    if description is not None:
+        lines.append(_text("    <description", "description", description))
+    lines += ["  </meta>", f'  <graph defaultedgetype="{edge_type}">']
+    for domain, names in keys.items():
+        lines += _block("    ", "attributes", [
+            f'      <attribute id="{pos}" title="{name}" type="{kind}" />'
+            for pos, (name, kind) in enumerate(names)], f' class="{domain}"')
+    for tag, items in (("node", nodes), ("edge", edges)):
+        inner: list[str] = []
+        for attrs, values in items:
+            attvalues = [f'          <attvalue for="{attr_id}" value="'
+                         f'{_escape(value)}" />' for attr_id, value in values]
+            inner += _block("      ", tag, attvalues and _block(
+                "        ", "attvalues", attvalues), attrs)
+        lines += _block("    ", tag + "s", inner)
+    return _document(lines + ["  </graph>", "</gexf>"])
+
+
 def gexf_bytes(g: ConfrontGraph, manifest_hash: str | None = None) -> bytes:
-    root = ET.Element("gexf", xmlns=_GEXF_NS, version="1.3")
-    meta = ET.SubElement(root, "meta")
-    ET.SubElement(meta, "creator").text = "confront-net"
-    description = []
-    if g.method is not None:
-        description.append(f"method={g.method.code}")
-    if manifest_hash is not None:
-        description.append(f"manifest={manifest_hash}")
-    description.append(f"table_version={TABLE_VERSION}")
-    ET.SubElement(meta, "description").text = " ".join(description)
-    graph = ET.SubElement(root, "graph", defaultedgetype="directed")
-
-    node_attrs = ET.SubElement(graph, "attributes", attrib={"class": "node"})
-    node_attr_id: dict[str, str] = {}
-    for name, attr_type in _NODE_KEYS:
-        node_attr_id[name] = str(len(node_attr_id))
-        ET.SubElement(node_attrs, "attribute", id=node_attr_id[name],
-                      title=name, type=attr_type)
-    edge_attrs = ET.SubElement(graph, "attributes", attrib={"class": "edge"})
-    edge_attr_id: dict[str, str] = {}
-    for name, attr_type in _EDGE_KEYS:
-        edge_attr_id[name] = str(len(edge_attr_id))
-        ET.SubElement(edge_attrs, "attribute", id=edge_attr_id[name],
-                      title=name, type=attr_type)
-
-    nodes = ET.SubElement(graph, "nodes")
-    for v in g.vertices.values():
-        node = ET.SubElement(nodes, "node", id=v.id, label=v.id)
-        values = ET.SubElement(node, "attvalues")
-        for name, value in _vertex_data(v):
-            ET.SubElement(values, "attvalue", attrib={
-                "for": node_attr_id[name], "value": _fmt(value)})
-    edges = ET.SubElement(graph, "edges")
-    for pos, e in enumerate(g.edges):
-        edge = ET.SubElement(edges, "edge", id=str(pos), source=e.source,
-                             target=e.target)
-        values = ET.SubElement(edge, "attvalues")
-        ET.SubElement(values, "attvalue", attrib={
-            "for": edge_attr_id["type"], "value": e.type.value})
-        ET.SubElement(values, "attvalue", attrib={
-            "for": edge_attr_id["origin"], "value": e.origin})
-    return _xml_bytes(root)
+    ids = {name: str(pos) for keys in (_NODE_KEYS, _EDGE_KEYS)
+           for pos, (name, _) in enumerate(keys)}  # the names are distinct
+    return _gexf(" ".join(f"{name}={value}" for name, value
+                          in _graph_data(g, manifest_hash)), "directed",
+                 {"node": _NODE_KEYS, "edge": _EDGE_KEYS},
+                 [(' id="{0}" label="{0}"'.format(_escape(v.id)),
+                   [(ids[name], _fmt(val)) for name, val in _vertex_data(v)])
+                  for v in g.vertices.values()],
+                 [(f' id="{pos}" source="{_escape(e.source)}" '
+                   f'target="{_escape(e.target)}"',
+                   [(ids["type"], e.type.value), (ids["origin"], e.origin)])
+                  for pos, e in enumerate(g.edges)])
 
 
 def community_gexf_bytes(net: CommunityNetwork,
                          manifest_hash: str | None = None) -> bytes:
     """Quotient graph: community nodes sized by membership, links
     weighted by cross-community edge counts."""
-    root = ET.Element("gexf", xmlns=_GEXF_NS, version="1.3")
-    meta = ET.SubElement(root, "meta")
-    ET.SubElement(meta, "creator").text = "confront-net"
-    if manifest_hash is not None:
-        ET.SubElement(meta, "description").text = f"manifest={manifest_hash}"
-    graph = ET.SubElement(root, "graph", defaultedgetype="undirected")
-    attrs = ET.SubElement(graph, "attributes", attrib={"class": "node"})
-    for pos, name in enumerate(("size", "intra_edges", "properties")):
-        ET.SubElement(attrs, "attribute", id=str(pos), title=name,
-                      type="long")
-    nodes = ET.SubElement(graph, "nodes")
-    for node in net.nodes:
-        el = ET.SubElement(nodes, "node", id=str(node.community),
-                           label=f"community {node.community}")
-        values = ET.SubElement(el, "attvalues")
-        properties = node.parish_counts  # property members only
-        for pos, value in enumerate((node.size, node.intra_edges,
-                                     sum(properties.values()))):
-            ET.SubElement(values, "attvalue", attrib={
-                "for": str(pos), "value": str(value)})
-    edges = ET.SubElement(graph, "edges")
-    for pos, link in enumerate(net.links):
-        ET.SubElement(edges, "edge", id=str(pos), source=str(link.a),
-                      target=str(link.b), weight=str(link.weight))
-    return _xml_bytes(root)
+    return _gexf(
+        None if manifest_hash is None else f"manifest={manifest_hash}",
+        "undirected", {"node": (("size", "long"), ("intra_edges", "long"),
+                                ("properties", "long"))},
+        [(' id="{0}" label="community {0}"'.format(node.community),
+          [(str(pos), str(value)) for pos, value in enumerate((
+              node.size, node.intra_edges,
+              sum(node.parish_counts.values())))])  # property members only
+         for node in net.nodes],
+        [(f' id="{i}" source="{link.a}" target="{link.b}" '
+          f'weight="{link.weight}"', []) for i, link in enumerate(net.links)])
 
 
 # --- internal cache -------------------------------------------------------

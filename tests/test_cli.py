@@ -5,9 +5,11 @@ Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 import gzip
 import importlib
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
+import elementtree_oracle as oracle
 from conftest import make_graph, synthetic_database
 from confront_net.cli import CACHE_SUFFIX, main
 from confront_net.data_model import save_database
@@ -126,6 +128,19 @@ def test_extract_gexf_format(capsys, db_files, tmp_path):
 def extract_all(capsys, db_files, out_dir, *extra):
     return run(capsys, "extract", *db_files["argv"], "--all", "--k", "1",
                "--threshold", "4", "--out", str(out_dir), *extra)
+
+
+def test_extract_all_gexf_matches_the_oracle(capsys, db_files, tmp_path):
+    code, _, _ = extract_all(capsys, db_files, tmp_path, "--format", "gexf")
+    assert code == 0
+    written = sorted(tmp_path.glob("*.gexf"))
+    assert [path.stem for path in written] == sorted(METHOD_CODES)
+    for path in written:
+        cache = tmp_path / f"{path.stem}{CACHE_SUFFIX}"
+        manifest = json.loads(gzip.decompress(cache.read_bytes()))["manifest"]
+        data = path.read_bytes()
+        assert ET.fromstring(data).tag == "{http://gexf.net/1.3}gexf"
+        assert data == oracle.gexf_bytes(read_cache(cache), manifest)
 
 
 def test_extract_all_produces_every_artifact(capsys, db_files, tmp_path):
@@ -418,6 +433,19 @@ def test_out_of_range_k_or_threshold_is_a_usage_error(capsys, tmp_path,
     assert code == 1
     assert f"argument {option}: " in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("baseline", ["0", "-5"])
+def test_a_baseline_below_one_is_a_usage_error(capsys, tmp_path, baseline):
+    # Reading this cache would exit 2: the option is refused before that.
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / f"g{CACHE_SUFFIX}").write_bytes(b"plainly not gzip")
+    code, out, err = run(capsys, "stats", "--graphs", str(graphs),
+                         "--baseline", baseline)
+    assert code == 1
+    assert f"argument --baseline: must be >= 1, got {baseline}" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])
