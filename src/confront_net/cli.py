@@ -266,6 +266,9 @@ def cmd_stats(args: argparse.Namespace,
         if args.objects is None or args.relations is None:
             parser.error("either --graphs or --objects/--relations "
                          "is required")
+        if args.baseline is not None:
+            parser.error("--baseline applies to --graphs mode only; "
+                         "the register gives the baseline")
         codes = list(METHOD_CODES) if args.all else [args.method]
         if codes == [None]:
             parser.error("either --method or --all is required with "

@@ -366,22 +366,29 @@ def _read_csv(path: Path, header: tuple[str, ...]) -> list[tuple[int, dict[str, 
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise MalformedRecord("file is empty (header expected)",
-                                  path=str(path)) from None
-        if tuple(first) != header:
-            raise MalformedRecord(
-                f"bad header: expected {','.join(header)}", path=str(path),
-                line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell for cell in row):
-                continue
-            if len(row) != len(header):
+            first = next(reader, None)
+            if first is None:
+                raise MalformedRecord("file is empty (header expected)",
+                                      path=str(path))
+            if tuple(first) != header:
                 raise MalformedRecord(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    path=str(path), line=lineno)
-            rows.append((lineno, dict(zip(header, row))))
+                    f"bad header: expected {','.join(header)}",
+                    path=str(path), line=1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise MalformedRecord(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        path=str(path), line=lineno)
+                rows.append((lineno, dict(zip(header, row))))
+        # Text is decoded by the block, so a bad byte has no line.
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"not UTF-8 text: {exc.reason}",
+                                  path=str(path)) from None
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise MalformedRecord(f"unreadable CSV: {exc}", path=str(path),
+                                  line=reader.line_num) from None
     return rows
 
 
@@ -497,7 +504,9 @@ def _json_records(path: Path, kind: str) -> Iterator[dict]:
     try:
         with path.open(encoding="utf-8-sig") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # bad JSON, or an int over the digit limit
+    # Bad JSON or UTF-8, an int over the digit limit, or nesting past the
+    # recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise MalformedRecord(f"expected a JSON array of {kind} records")

@@ -6,15 +6,20 @@ held from the search to the last statistic as unsigned integers whose
 type's maximum (`_unreachable`) marks an unreachable pair; that mark
 counts as an infinite distance. One hop pass per graph; every statistic
 derives from it: `pair_distances` runs the all-pairs search once and
-keeps only the pair vectors that d_max, d_harm, rho_d and the distance
-profile read. The search is a breadth-first search from every source at
-once over packed bitsets (Then et al., "The More the Merrier: Efficient
-Multi-Source Graph Traversal", PVLDB 8(4), 2014), in numpy alone.
-Spatial statistics (rank correlation, distance profile) consider only
-vertex pairs where both ends carry coordinates. Hops and metres are
-ranked by the one average-rank function `_average_ranks`, in which the
-unreachable mark sorts last as one tied block;
-`rank_correlation` is the one Spearman correlation.
+keeps the hop histogram of every pair, from which d_max and d_harm
+come, and the (hops, metres) vectors of the located pairs, from which
+rho_d and the distance profile come. The search is a breadth-first
+search from every source at once over packed bitsets (Then et al., "The
+More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4),
+2014), in numpy alone. Spatial statistics (rank correlation, distance
+profile) consider only vertex pairs where both ends carry coordinates.
+
+d_harm and rho_d are computed from exact integer sums and rounded once:
+d_harm over the hop buckets, rho_d from doubled average ranks, whose
+sums are integers. `rank_correlation` codes hops by their bucket (the
+unreachable mark is the last, tied block) and splits the metres, sorted
+once, into tie blocks; its result does not depend on the order of the
+pairs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import numpy as np
 
 from .errors import InsufficientCoordinates, NoFinitePairs
 from .graph import ConfrontGraph
+
+#: Values per `np.bincount` call (its intp copy takes 512 KiB).
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,13 @@ class DistanceProfile:
 
 @dataclass(frozen=True)
 class PairDistances:
-    """The result of one hop pass, over unordered pairs i < j in vertex
-    order (the row-major upper triangle)."""
+    """The result of one hop pass, over unordered pairs i < j; the
+    located vectors follow the row-major upper triangle of the located
+    vertices, in vertex order."""
 
-    hops: np.ndarray  # every pair, in the type of the hop matrix
+    # histogram[h] counts the pairs h hops apart; its last bucket, at the
+    # unreachable mark, counts the disconnected pairs.
+    histogram: np.ndarray
     # (hops, Euclidean metres) over pairs of located vertices; None when
     # fewer than two vertices carry coordinates.
     located: tuple[np.ndarray, np.ndarray] | None
@@ -134,26 +145,43 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> np.ndarray:
     return hops
 
 
-def pair_distances(g: ConfrontGraph) -> PairDistances:
-    """Run the all-pairs hop search once and keep the pair vectors.
+def _blocked_bincount(values: np.ndarray, minlength: int,
+                      weights: np.ndarray | None = None) -> np.ndarray:
+    """`np.bincount` of a 1-d array as int64, summed over blocks of
+    `_BLOCK` values: bincount copies its input to intp, so one call on
+    the whole array would cost 8 bytes per value. `minlength` exceeds
+    every value. Weighted blocks are exact while their sums stay below
+    2^53, which holds for weights that are integers below 2^32."""
+    counts = np.zeros(minlength, np.int64)
+    for start in range(0, values.size, _BLOCK):
+        stop = start + _BLOCK
+        counts += np.bincount(
+            values[start:stop], minlength=minlength,
+            weights=None if weights is None else weights[start:stop]
+        ).astype(np.int64, copy=False)
+    return counts
 
-    Vectors are filled row by row from the hop matrix and keep its type,
-    so no index arrays, float matrix, located-vertex submatrix or
-    coordinate-difference cube is built, and the n x n matrix is released
-    when this returns.
+
+def pair_distances(g: ConfrontGraph) -> PairDistances:
+    """Run the all-pairs hop search once and keep what the statistics
+    read: the hop histogram of every pair and the located pair vectors.
+
+    The located vectors are filled row by row from the hop matrix and
+    keep its type, so no index arrays, float matrix, located-vertex
+    submatrix or coordinate-difference cube is built, and the n x n
+    matrix is released when this returns.
     """
     matrix = all_pairs_graph_distance(g)
     n = matrix.shape[0]
-    hops = np.empty(n * (n - 1) // 2, matrix.dtype)
-    pos = 0
-    for i in range(n - 1):
-        hops[pos:pos + n - 1 - i] = matrix[i, i + 1:]
-        pos += n - 1 - i
+    # The matrix is symmetric with a zero diagonal.
+    histogram = _blocked_bincount(matrix.ravel(), _unreachable(matrix) + 1)
+    histogram[0] -= n
+    histogram //= 2
     index = g.vertex_index()
     located = [(index[v.id], v.coord) for v in g.vertices.values()
                if v.coord is not None]
     if len(located) < 2:
-        return PairDistances(hops, None)
+        return PairDistances(histogram, None)
     idx = np.array([i for i, _ in located])
     xy = np.array([c for _, c in located], dtype=float)
     size = len(idx) * (len(idx) - 1) // 2
@@ -166,57 +194,127 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
         diff = xy[k] - xy[k + 1:]
         metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
         pos = end
-    return PairDistances(hops, (located_hops, metres))
+    return PairDistances(histogram, (located_hops, metres))
 
 
-def _finite_max(hops: np.ndarray) -> int:
-    finite = hops[hops != _unreachable(hops)]
+def _finite_max(histogram: np.ndarray) -> int:
+    """The largest hop count with a pair: the last nonzero bucket below
+    the unreachable mark."""
+    finite = np.flatnonzero(histogram[1:-1])
     if finite.size == 0:
         raise NoFinitePairs("every vertex pair is disconnected")
-    return int(finite.max())
+    return int(finite[-1]) + 1
 
 
-def _harmonic_mean(hops: np.ndarray) -> float:
-    if hops.size == 0:
+def _harmonic_mean(histogram: np.ndarray) -> float:
+    """P / sum(1/h) over the P pairs, unreachable ones adding nothing to
+    the sum; inf when no pair is connected. The sum is taken exactly, over
+    the least common multiple of the hop counts, and the quotient of the
+    two integers is rounded once."""
+    hops = (np.flatnonzero(histogram[1:-1]) + 1).tolist()
+    if not hops:
         return math.inf
-    # Distinct vertices are never 0 hops apart.
-    inv = np.where(hops != _unreachable(hops),
-                   np.divide(1.0, hops, dtype=np.float64), 0.0)
-    total = float(inv.sum())
-    if total == 0.0:
-        return math.inf
-    return hops.size / total
+    common = math.lcm(*hops)
+    total = sum(count * (common // h)
+                for h, count in zip(hops, histogram[hops].tolist()))
+    return int(histogram.sum()) * common / total
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, each tie block sharing the mean of its positions.
-    Unsigned values (hops) are their own codes, counted by `bincount`, so
-    the unreachable mark ranks last as infinity would. Other values go
-    through `np.unique`: infinities rank as tied extreme blocks, and one
-    NaN makes every rank NaN. Ranks are exact half-integers built from
-    integer counts."""
+def _tie_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, lengths): `codes[i]` numbers the tie block of `values[i]`
+    in ascending order and `lengths` counts each block. Unsigned values
+    (hops) are their own codes, counted by `bincount`, so the unreachable
+    mark ranks last as infinity would; other values go through
+    `np.unique`, where infinities are tied extreme blocks."""
     if values.dtype.kind == "u":
-        codes, counts = values, np.bincount(values)
-    elif np.isnan(values).any():
-        return np.full(values.shape, np.nan)
-    else:
-        _, codes, counts = np.unique(values, return_inverse=True,
-                                     return_counts=True)
-    return ((2 * (np.cumsum(counts) - counts) + counts + 1) * 0.5)[codes]
+        return values, _blocked_bincount(values, _unreachable(values) + 1)
+    _, codes, lengths = np.unique(values, return_inverse=True,
+                                  return_counts=True)
+    return codes, lengths
+
+
+def _tie_lengths(ascending: np.ndarray) -> np.ndarray:
+    """The lengths of the tie blocks of an ascending array: the steps
+    between the blocks' last positions, taken in place."""
+    last = np.flatnonzero(np.append(ascending[1:] != ascending[:-1],
+                                    ascending.size > 0))
+    last[1:] -= last[:-1].copy()
+    last[:1] += 1
+    return last
+
+
+def _doubled_ranks(lengths: np.ndarray) -> np.ndarray:
+    """Twice the average 1-based rank of each tie block, given the block
+    lengths in ascending order: the block's first plus last position, an
+    integer."""
+    return 2 * np.cumsum(lengths) - lengths + 1
+
+
+def _doubled_rank_squares(lengths: np.ndarray) -> int:
+    """The sum of the squared doubled ranks over the tie blocks:
+    4 * sum(r^2) for P untied ranks, less (c^3 - c) / 3 per tie block of
+    c, as Python ints."""
+    size = int(lengths.sum())
+    ties = sum(c ** 3 - c for c in lengths[lengths > 1].tolist())
+    return (2 * size * (size + 1) * (2 * size + 1) - ties) // 3
+
+
+def _ratio_to_root(num: int, square: int) -> float:
+    """num / sqrt(square), rounded once. The quotient, scaled by 2^k, is
+    taken to an integer of at least 56 bits by `math.isqrt`; an inexact
+    root adds a sticky bit, so the one rounding of the division of two
+    integers is correct."""
+    if num == 0:
+        return 0.0
+    k = max(0, 58 + (square.bit_length() + 1) // 2 - abs(num).bit_length())
+    scaled = (num * num) << (2 * k)
+    root = math.isqrt(scaled // square)
+    if root * root * square != scaled:
+        root, k = 2 * root + 1, k + 1
+    return math.copysign(root / (1 << k), num)
 
 
 def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rho with average ranks for ties; infinite values and the
-    unreachable mark of unsigned hops rank as one tied maximal block. NaN
-    when either side is constant."""
-    rx = _average_ranks(np.asarray(x))
-    ry = _average_ranks(np.asarray(y))
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = math.sqrt(float((rx * rx).sum()) * float((ry * ry).sum()))
-    if denom == 0.0:
+    unreachable mark of unsigned hops rank as tied extreme blocks. NaN
+    when either side holds a NaN or is constant.
+
+    The rank sums are exact integers on doubled ranks, so rho is the
+    correctly rounded coefficient, whatever the order of the pairs. x is
+    coded by tie block; y is sorted once, unstably, and split into tie
+    blocks. Every pair in x block h has the same doubled rank A_h, so the
+    cross sum is sum_h A_h * S_h, where S_h sums the doubled y ranks over
+    that block; the x codes are carried into y order for it, so no rank
+    is scattered back to pair order.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    size = x.size
+    if size < 2 or any(v.dtype.kind == "f" and np.isnan(v).any()
+                       for v in (x, y)):
         return math.nan
-    return float((rx * ry).sum() / denom)
+    # Each array of P values is dropped as soon as it has been read, which
+    # keeps the peak near 25 bytes per pair beyond x and y.
+    codes, x_lengths = _tie_codes(x)
+    order = np.argsort(y)
+    codes = codes[order]
+    y_sorted = y[order]
+    del order
+    y_lengths = _tie_lengths(y_sorted)
+    del y_sorted
+    y_ranks = np.repeat(_doubled_ranks(y_lengths), y_lengths)
+    sums = _blocked_bincount(codes, x_lengths.size, y_ranks)
+    del codes, y_ranks
+    present = np.flatnonzero(x_lengths)
+    cross = sum(a * s for a, s in zip(
+        _doubled_ranks(x_lengths)[present].tolist(), sums[present].tolist()))
+    # P times the centred sums: the doubled ranks on each side sum to
+    # P(P + 1).
+    square_of_sum = (size * (size + 1)) ** 2
+    var_x = size * _doubled_rank_squares(x_lengths) - square_of_sum
+    var_y = size * _doubled_rank_squares(y_lengths) - square_of_sum
+    if var_x == 0 or var_y == 0:
+        return math.nan
+    return _ratio_to_root(size * cross - square_of_sum, var_x * var_y)
 
 
 def distance_profile(g: ConfrontGraph,
@@ -266,7 +364,7 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     if pairs is None:
         pairs = pair_distances(g)
     try:
-        d_max = _finite_max(pairs.hops)
+        d_max = _finite_max(pairs.histogram)
     except NoFinitePairs:
         d_max = 0
     rho = (math.nan if pairs.located is None
@@ -274,4 +372,4 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     return GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),
-        d_max=d_max, d_harm=_harmonic_mean(pairs.hops), rho_d=rho)
+        d_max=d_max, d_harm=_harmonic_mean(pairs.histogram), rho_d=rho)

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Any
 
@@ -244,7 +245,10 @@ def read_cache(path: str | Path) -> ConfrontGraph:
     try:
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:
+    # A truncated stream ends in EOFError, a damaged one in zlib.error;
+    # JSON nested past the recursion limit raises RecursionError.
+    except (OSError, EOFError, zlib.error, ValueError,
+            RecursionError) as exc:
         raise MalformedRecord(f"unreadable graph cache: {exc}",
                               path=str(path)) from None
     if (not isinstance(payload, dict)

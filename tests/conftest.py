@@ -54,13 +54,13 @@ def hop_matrix(g: ConfrontGraph) -> np.ndarray:
 
 def finite_diameter(g: ConfrontGraph) -> int:
     """d_max over every pair; NoFinitePairs when none is connected."""
-    return metrics._finite_max(metrics.pair_distances(g).hops)
+    return metrics._finite_max(metrics.pair_distances(g).histogram)
 
 
 def harmonic_mean_distance(g: ConfrontGraph) -> float:
     """P / sum(1/d) over the P unordered pairs, disconnected pairs
     contributing zero reciprocal; inf when nothing is connected."""
-    return metrics._harmonic_mean(metrics.pair_distances(g).hops)
+    return metrics._harmonic_mean(metrics.pair_distances(g).histogram)
 
 
 def spearman_distance_correlation(g: ConfrontGraph) -> float:

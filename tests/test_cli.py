@@ -448,6 +448,19 @@ def test_a_baseline_below_one_is_a_usage_error(capsys, tmp_path, baseline):
     assert out == ""
 
 
+@pytest.mark.parametrize("mode", [("--method", "EFS_k", "--k", "1"),
+                                  ("--all", "--k", "1")])
+def test_baseline_is_refused_outside_graphs_mode(capsys, db_files, tmp_path,
+                                                 mode):
+    # The register gives the baseline; --baseline would be ignored.
+    code, out, err = run(capsys, "stats", *db_files["argv"], *mode,
+                         "--baseline", "5", "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert "--baseline applies to --graphs mode only" in err
+    assert out == ""
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])
 def test_sweep_rejects_bad_ranges(capsys, db_files, bad):
     code, _, err = run(capsys, "sweep", *db_files["argv"],
@@ -533,6 +546,29 @@ def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
     assert err.startswith("error: corrupt graph cache: ")
     assert err.count("\n") == 1
     assert str(path) in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:300],
+    lambda data: data[:200] + bytes([data[200] ^ 0xFF]) + data[201:],
+    lambda data: gzip.compress(b"[" * 100_000),
+], ids=["truncated", "flipped-byte", "nested-past-the-recursion-limit"])
+def test_an_unreadable_cache_is_a_located_data_error(capsys, tmp_path,
+                                                     damage):
+    graphs = tmp_path / "graphs"
+    path = graphs / f"g{CACHE_SUFFIX}"
+    write_cache(make_graph([(i, i + 1) for i in range(99)],
+                           coords={i: (1.5 * i, 0.0) for i in range(100)}),
+                path)
+    data = path.read_bytes()
+    assert len(data) > 400
+    path.write_bytes(damage(data))
+    code, out, err = run(capsys, "stats", "--graphs", str(graphs))
+    assert code == 2
+    assert err.startswith("error: unreadable graph cache: ")
+    assert err.rstrip().endswith(f"[{path}]")
+    assert err.count("\n") == 1
+    assert out == ""
 
 
 # An integer too large for a float, as JSON text: 10**400 overflows a

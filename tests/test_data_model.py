@@ -426,6 +426,41 @@ def test_load_reports_path_and_line_for_bad_header(tmp_path):
     assert "objects.csv" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", ["objects", "relations"])
+def test_invalid_utf8_csv_names_its_file(tmp_path, bad):
+    paths = {"objects": write(tmp_path / "objects.csv", OBJ_HEADER
+                              + "\np1,first,Property,Punctual,,,,,,\n"),
+             "relations": write(tmp_path / "relations.csv",
+                                REL_HEADER + "\n")}
+    with paths[bad].open("ab") as fh:
+        fh.write(b"\xff\xfe")
+    with pytest.raises(MalformedRecord, match="^not UTF-8 text: ") as exc:
+        load_database(paths["objects"], paths["relations"])
+    assert exc.value.path == str(paths[bad])
+
+
+def test_an_oversized_csv_field_names_its_file_and_line(tmp_path):
+    objects = write(tmp_path / "objects.csv", "\n".join([
+        OBJ_HEADER,
+        "p1,first,Property,Punctual,,,,,,",
+        "p2," + "n" * 200_000 + ",Property,Punctual,,,,,,", ""]))
+    relations = write(tmp_path / "relations.csv", REL_HEADER + "\n")
+    with pytest.raises(MalformedRecord,
+                       match="^unreadable CSV: field larger than") as exc:
+        load_database(objects, relations)
+    assert (exc.value.path, exc.value.line) == (str(objects), 3)
+
+
+def test_json_nested_past_the_recursion_limit_names_its_file(tmp_path):
+    objects = tmp_path / "objects.json"
+    objects.write_text("[" * 100_000)
+    relations = tmp_path / "relations.json"
+    relations.write_text("[]")
+    with pytest.raises(MalformedRecord, match="^invalid JSON: ") as exc:
+        load_database(objects, relations)
+    assert exc.value.path == str(objects)
+
+
 def test_load_reports_line_numbers(tmp_path):
     objects = write(tmp_path / "objects.csv", "\n".join([
         OBJ_HEADER,

@@ -3,20 +3,25 @@
 The implementations are checked against plain-Python oracles: a deque
 BFS for distances and a sort-based average-rank Spearman. Hand-computed
 cases pin the conventions (harmonic mean with infinite pairs, population
-standard deviation, tie handling). The single-pass statistics are also
-checked for exact equality against the earlier matrix formulas
+standard deviation, tie handling). d_harm and rho_d are also checked
+for exact equality against oracles summed as `Fraction`s and rounded to
+the nearest float, and against the earlier matrix formulas
 (`triu_indices`, `np.ix_`, an n x n x 2 `hypot`, `rankdata` on both
-sides), and for making one hop pass per graph. The bitset hop engine is
-checked against scipy's `shortest_path` across word boundaries, on
-disconnected graphs and on paths long enough to need 16-bit hops; scipy
-is a test-only dependency, and the package runs without it."""
+sides) to 1e-12; the rest of the single-pass statistics equal those
+formulas exactly, and one hop pass is made per graph. The bitset hop
+engine is checked against scipy's `shortest_path` across word
+boundaries, on disconnected graphs and on paths long enough to need
+16-bit hops; scipy is a test-only dependency, and the package runs
+without it."""
 
 import math
 import os
 import random
 import subprocess
 import sys
-from collections import deque
+import tracemalloc
+from collections import Counter, deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +97,47 @@ def spearman_oracle(x, y):
     if vx == 0.0 or vy == 0.0:
         return math.nan
     return cov / math.sqrt(vx * vy)
+
+
+def nearest_root(square: Fraction) -> float:
+    """The float nearest to sqrt(square), found by comparing the square
+    exactly with the squared midpoints between neighbouring floats."""
+    root = math.sqrt(square)
+    while True:
+        below = (Fraction(root) + Fraction(math.nextafter(root, 0.0))) / 2
+        above = (Fraction(root)
+                 + Fraction(math.nextafter(root, math.inf))) / 2
+        if square < below * below:
+            root = math.nextafter(root, 0.0)
+        elif square > above * above:
+            root = math.nextafter(root, math.inf)
+        else:
+            return root
+
+
+def exact_harmonic_mean(dists) -> float:
+    """P / sum(1/d) over P distances (inf adds nothing to the sum), summed
+    as a Fraction and rounded once."""
+    total = sum(Fraction(count) / Fraction(d)
+                for d, count in Counter(np.asarray(dists).tolist()).items()
+                if math.isfinite(d))
+    return math.inf if total == 0 else float(Fraction(len(dists)) / total)
+
+
+def exact_spearman(x, y) -> float:
+    """Spearman rho over `rankdata`'s average ranks, from exact sums,
+    rounded to the nearest float."""
+    rx = [Fraction(r) for r in rankdata(x)]
+    ry = [Fraction(r) for r in rankdata(y)]
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    if vx == 0 or vy == 0:
+        return math.nan
+    if cov == 0:
+        return 0.0
+    return math.copysign(nearest_root(cov * cov / (vx * vy)), cov)
 
 
 # --- distances ------------------------------------------------------------
@@ -374,6 +420,24 @@ def seed_era_statistics(g):
     return d_max, d_harm, rho, DistanceProfile(tuple(buckets))
 
 
+def exact_statistics(g):
+    """(d_harm, rho_d) from the exact oracles, over the pairs of the
+    scipy hop matrix."""
+    matrix = scipy_hops(g)
+    d_harm = exact_harmonic_mean(matrix[np.triu_indices(g.n, k=1)])
+    located = [v for v in g.vertices.values() if v.coord is not None]
+    if len(located) < 2:
+        return d_harm, math.nan
+    index = g.vertex_index()
+    x, y = [], []
+    for i, a in enumerate(located):
+        for b in located[i + 1:]:
+            x.append(matrix[index[a.id], index[b.id]])
+            y.append(math.hypot(a.coord[0] - b.coord[0],
+                                a.coord[1] - b.coord[1]))
+    return d_harm, exact_spearman(x, y)
+
+
 def same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
@@ -397,20 +461,26 @@ def test_single_pass_statistics_equal_the_seed_formulas(build):
     g = build()
     d_max, d_harm, rho, profile = seed_era_statistics(g)
     s = summarize(g)
+    exact_harm, exact_rho = exact_statistics(g)
     assert s.d_max == d_max
-    assert s.d_harm == d_harm
-    assert same(s.rho_d, rho)
+    assert s.d_harm == exact_harm
+    assert d_harm == pytest.approx(exact_harm, rel=1e-12)
+    assert same(s.rho_d, exact_rho)
+    if math.isnan(exact_rho):
+        assert math.isnan(rho)
+    else:
+        assert rho == pytest.approx(exact_rho, abs=1e-12)
     if d_max:
         assert finite_diameter(g) == d_max
     else:
         with pytest.raises(NoFinitePairs):
             finite_diameter(g)
-    assert harmonic_mean_distance(g) == d_harm
+    assert harmonic_mean_distance(g) == exact_harm
     if profile is None:
         with pytest.raises(InsufficientCoordinates):
             distance_profile(g)
     else:
-        assert same(spearman_distance_correlation(g), rho)
+        assert same(spearman_distance_correlation(g), exact_rho)
         assert distance_profile(g) == profile
 
 
@@ -425,13 +495,25 @@ rank_values = st.one_of(st.integers(0, 40).map(float), st.just(math.inf),
     st.lists(st.one_of(rank_values, st.just(math.nan)), min_size=1,
              max_size=300)))
 def test_hop_ranks_equal_rankdata(values):
-    """`_average_ranks`, which ranks both hops and metres, against
-    `rankdata`."""
+    """Both ways `rank_correlation` ranks against `rankdata`: the tie
+    blocks of the sorted values (metres) and the `np.unique` codes of
+    other values. A NaN makes every `rankdata` rank NaN, and the
+    correlation NaN on either side."""
     array = np.array(values, dtype=float)
     want = rankdata(array)
-    got = metrics._average_ranks(array)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want, equal_nan=True)
+    if np.isnan(array).any():
+        assert np.isnan(want).all()
+        other = np.arange(array.size, dtype=float)
+        assert math.isnan(rank_correlation(array, other))
+        assert math.isnan(rank_correlation(other, array))
+        return
+    order = np.argsort(array)
+    lengths = metrics._tie_lengths(array[order])
+    got = np.empty(array.size)
+    got[order] = np.repeat(metrics._doubled_ranks(lengths), lengths) / 2
+    assert np.array_equal(got, want)
+    codes, lengths = metrics._tie_codes(array)
+    assert np.array_equal(metrics._doubled_ranks(lengths)[codes] / 2, want)
 
 
 @given(st.sampled_from([np.uint8, np.uint16]).flatmap(
@@ -439,22 +521,65 @@ def test_hop_ranks_equal_rankdata(values):
         st.one_of(st.integers(1, 40), st.just(int(np.iinfo(dtype).max))),
         max_size=300).map(lambda values: np.array(values, dtype))))
 def test_integer_hop_ranks_equal_rankdata_of_the_float_view(hops):
-    """Unsigned hops take the `bincount` path; the unreachable mark ranks
-    as inf does in the float view."""
-    got = metrics._average_ranks(hops)
-    want = rankdata(float_hops(hops))
-    assert got.dtype == np.float64
-    assert np.array_equal(got, want)
+    """Unsigned hops are their own tie codes, counted by `bincount`; the
+    unreachable mark ranks as inf does in the float view."""
+    codes, lengths = metrics._tie_codes(hops)
+    assert codes is hops
+    assert lengths.size == np.iinfo(hops.dtype).max + 1
+    got = metrics._doubled_ranks(lengths)[codes] / 2
+    assert np.array_equal(got, rankdata(float_hops(hops)))
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 140))
+def test_ratio_to_root_is_the_nearest_float(num, square):
+    """`_ratio_to_root` returns the float nearest to num / sqrt(square)
+    (|ratio| <= 1 in rank correlation, not required here)."""
+    got = metrics._ratio_to_root(num, square)
+    want = (0.0 if num == 0 else math.copysign(
+        nearest_root(Fraction(num * num, square)), num))
+    assert got == want
+
+
+@pytest.mark.parametrize("num,square,want", [
+    (3, 9, 1.0), (-3, 9, -1.0), (0, 5, 0.0), (1, 2, math.sqrt(0.5)),
+    (1, 4 * 10 ** 40, 5e-21),
+    # Just above the midpoint between 0.75 and the next float: a
+    # truncated root would tie and round to even, down to 0.75.
+    (3 * 2 ** 52 + 1, 4 ** 54 - 1, math.nextafter(0.75, 1.0)),
+    (-(3 * 2 ** 52 + 1), 4 ** 54 - 1, -math.nextafter(0.75, 1.0))])
+def test_ratio_to_root_hand_cases(num, square, want):
+    assert metrics._ratio_to_root(num, square) == want
+
+
+@given(st.lists(st.tuples(st.integers(1, 12).map(float) | st.just(math.inf),
+                          st.integers(0, 30).map(float)
+                          | st.floats(0, 500, allow_nan=False)),
+                min_size=2, max_size=200),
+       st.randoms(use_true_random=False))
+def test_rank_correlation_is_the_exact_spearman(pairs, rnd):
+    """`rank_correlation` equals the exact oracle, whatever the order of
+    the pairs."""
+    want = exact_spearman(*zip(*pairs))
+    rnd.shuffle(pairs)
+    x, y = (np.array(v) for v in zip(*pairs))
+    assert same(rank_correlation(x, y), want)
+    hops = np.where(np.isinf(x), 255, x).astype(np.uint8)
+    assert same(rank_correlation(hops, y), want)
 
 
 def test_harmonic_mean_of_integer_hops_equals_the_float_formula():
+    """d_harm of a hop histogram equals the exact oracle over the pairs,
+    and the float formula of earlier versions to 1e-12."""
     rnd = random.Random(7)
     hops = np.array([rnd.choice((1, 2, 3, 7, 254, 255)) for _ in range(5000)],
                     dtype=np.uint8)
     dists = float_hops(hops)
+    histogram = np.bincount(hops, minlength=256)
+    assert metrics._harmonic_mean(histogram) == exact_harmonic_mean(dists)
     with np.errstate(divide="ignore"):
         inv = np.where(np.isfinite(dists), 1.0 / dists, 0.0)
-    assert metrics._harmonic_mean(hops) == dists.size / float(inv.sum())
+    assert dists.size / float(inv.sum()) == pytest.approx(
+        exact_harmonic_mean(dists), rel=1e-12)
 
 
 def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
@@ -464,11 +589,38 @@ def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
     g = make_graph([(i, i + 1) for i in range(n - 1)], n=n + 1,
                    coords={i: (float(i % 17), float(i // 17))
                            for i in range(n + 1)})
-    assert metrics.pair_distances(g).hops.dtype == np.uint16
+    pairs = metrics.pair_distances(g)
+    assert pairs.located[0].dtype == np.uint16
+    assert pairs.histogram.size == 2 ** 16
     profile = distance_profile(g)
     assert profile.buckets[-1].graph_distance == math.inf
     assert profile.buckets[-1].count == n
     assert profile == seed_era_statistics(g)[3]
+
+
+def test_summarize_peak_memory_per_located_pair():
+    """Under tracemalloc, `summarize` on a graph of 180k located pairs
+    peaks below 64 bytes per located pair: the hop matrix, one byte per
+    cell, the located vectors, 9 bytes per pair, and the rank work."""
+    rnd = random.Random(3)
+    side, n = 25, 640
+    coords = {i: (10.0 * (i % side) + rnd.random(),
+                  10.0 * (i // side) + rnd.random())
+              for i in range(n) if i % 20}
+    edges = ([(i, i + 1) for i in range(n - 1)
+              if (i + 1) % side and rnd.random() < 0.9]
+             + [(i, i + side) for i in range(n - side) if rnd.random() < 0.5])
+    g = make_graph(edges, n=n + 5, coords=coords)
+    pairs = len(coords) * (len(coords) - 1) // 2
+    assert pairs >= 100_000
+    summarize(make_graph([(0, 1)], coords={0: (0.0, 0.0), 1: (1.0, 0.0)}))
+    tracemalloc.start()
+    try:
+        summarize(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * pairs
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -624,9 +776,13 @@ def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
     want = scipy_hops(g)
     pairs = metrics.pair_distances(g)
     matrix_type = all_pairs_graph_distance(g).dtype
-    assert pairs.hops.dtype == matrix_type
-    assert np.array_equal(float_hops(pairs.hops),
-                          want[np.triu_indices(g.n, k=1)])
+    mark = np.iinfo(matrix_type).max
+    upper = want[np.triu_indices(g.n, k=1)]
+    upper[np.isinf(upper)] = mark
+    assert pairs.histogram.dtype == np.int64
+    assert np.array_equal(pairs.histogram,
+                          np.bincount(upper.astype(np.int64),
+                                      minlength=mark + 1))
     index = g.vertex_index()
     idx = [index[v.id] for v in g.vertices.values() if v.coord is not None]
     if len(idx) < 2:
