@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .data_model import (Database, Dimensionality, ObjectKind,
                          RelationOrigin, RelationRecord, Segment,
-                         SpatialObject, load_database, save_database,
-                         validate_database)
+                         SpatialObject, load_database, validate_database)
 from .errors import ConfrontNetError
 from .extract import (METHOD_CODES, ExtractionMethod, Scope,
                       build_full_graph, extract)
@@ -25,7 +24,7 @@ __all__ = [
     "__version__",
     "ConfrontNetError", "Database", "SpatialObject", "Segment",
     "RelationRecord", "ObjectKind", "Dimensionality", "RelationOrigin",
-    "load_database", "save_database", "validate_database",
+    "load_database", "validate_database",
     "merge_equal_objects", "normalize_relation_type", "NormalizedType",
     "ConfrontGraph", "Vertex", "Edge", "EdgeOrigin",
     "ExtractionMethod", "Scope", "METHOD_CODES", "extract",

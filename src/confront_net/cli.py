@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -197,9 +196,6 @@ def cmd_extract(args: argparse.Namespace,
         "extract", args, codes,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
-    if os.environ.get("CONFRONT_THREADS"):
-        print("warning: CONFRONT_THREADS is ignored; extraction is serial",
-              file=sys.stderr)
     full = build_full_graph(db)
     # --all reports an empty variant as a zero row; a single method fails.
     run = extract_or_empty if args.all else extract
@@ -453,7 +449,7 @@ def _build_parser() -> _Parser:
                            default="graphml", help="graph file format")
     p_extract.add_argument("--warnings", action="store_true",
                            help="print every data warning")
-    p_extract.set_defaults(func=cmd_extract)
+    p_extract.set_defaults(func=cmd_extract, parser=p_extract)
 
     p_stats = sub.add_parser("stats",
                              help="Table-style statistics CSV per method")
@@ -472,7 +468,7 @@ def _build_parser() -> _Parser:
     p_stats.add_argument("--profile", action="store_true",
                          help="also write per-method distance profiles")
     p_stats.add_argument("--warnings", action="store_true")
-    p_stats.set_defaults(func=cmd_stats)
+    p_stats.set_defaults(func=cmd_stats, parser=p_stats)
 
     p_sweep = sub.add_parser("sweep",
                              help="sweep k for a TopK method family")
@@ -485,7 +481,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--out", type=Path, default=None,
                          help="output CSV (default stdout)")
     p_sweep.add_argument("--warnings", action="store_true")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
 
     p_comm = sub.add_parser("communities",
                             help="Louvain partition and community reports")
@@ -500,13 +496,13 @@ def _build_parser() -> _Parser:
     p_comm.add_argument("--out", type=Path, required=True,
                         help="output directory")
     p_comm.add_argument("--warnings", action="store_true")
-    p_comm.set_defaults(func=cmd_communities)
+    p_comm.set_defaults(func=cmd_communities, parser=p_comm)
 
     p_dump = sub.add_parser("dump-normalization",
                             help="print the 42-entry normalization table")
     p_dump.add_argument("--out", type=Path, default=None,
                         help="output CSV (default stdout)")
-    p_dump.set_defaults(func=cmd_dump_normalization)
+    p_dump.set_defaults(func=cmd_dump_normalization, parser=p_dump)
     return parser
 
 
@@ -519,24 +515,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 1
-    sub = _subparser_for(parser, args.command)
     try:
-        return args.func(args, sub)
+        return args.func(args, args.parser)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
-    except ConfrontNetError as exc:
+    except (ConfrontNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _subparser_for(parser: _Parser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise AssertionError("subparsers are always configured")
 
 
 if __name__ == "__main__":

@@ -186,35 +186,21 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
                        method: ExtractionMethod) -> ConfrontGraph:
     """Remove, keep, or split non-punctual vertices per the method.
 
-    Splitting replaces an object vertex by one vertex per segment,
-    chained with ArtificialAdjacency edges; incoming relations re-point
-    to their bound segment (first segment when unbound). Afterwards
-    segment vertices whose single incident edge is artificial are pruned
-    iteratively: chain ends nobody refers to carry no information.
+    Splitting replaces an object vertex by its chain of segment vertices,
+    linked by ArtificialAdjacency edges; incoming relations re-point to
+    their bound segment (first segment when unbound), outgoing ones leave
+    from the first segment. A split object keeps only the span of its
+    chain from the first to the last segment that ends one of these
+    relations, or its first segment alone when none does: chain ends
+    nobody refers to carry no information.
     """
     remove, split = _plan(g, db, method)
     if not remove and not split:
         return g
 
-    vertices: list[Vertex] = []
-    first_segment: dict[str, str] = {}
-    for v in g.vertices.values():
-        if v.id in remove:
-            continue
-        if v.id not in split:
-            vertices.append(v)
-            continue
-        obj = db.objects[v.id]
-        first_segment[v.id] = segment_vertex_id(v.id, obj.segments[0].id)
-        for seg in obj.segments:
-            # Segments are small enough to count as punctual vertices.
-            vertices.append(Vertex(
-                id=segment_vertex_id(v.id, seg.id), kind=v.kind,
-                dim=Dimensionality.PUNCTUAL, is_property=v.is_property,
-                coord=seg.coord, parish=v.parish,
-                inside_old_walls=v.inside_old_walls, source_object=v.id,
-                source_segment=seg.id))
-
+    first_segment = {
+        oid: segment_vertex_id(oid, db.objects[oid].segments[0].id)
+        for oid in split}
     edges: list[Edge] = []
     for e in g.edges:
         if e.source in remove or e.target in remove:
@@ -232,54 +218,30 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
             segment = None
         edges.append(Edge(source, target, e.type, e.origin, segment))
     edges = unique_edges(edges)
+    referenced = {vid for e in edges for vid in (e.source, e.target)}
+
+    vertices: list[Vertex] = []
     for v in g.vertices.values():
+        if v.id in remove:
+            continue
         if v.id not in split:
+            vertices.append(v)
             continue
-        obj = db.objects[v.id]
-        for a, b in zip(obj.segments, obj.segments[1:]):
-            edges.append(Edge(segment_vertex_id(v.id, a.id),
-                              segment_vertex_id(v.id, b.id),
-                              NormalizedType.ARTIFICIAL_ADJACENCY,
-                              EdgeOrigin.ARTIFICIAL))
-
-    vertices, edges = _prune_artificial_leaves(vertices, edges)
+        segments = db.objects[v.id].segments
+        ids = [segment_vertex_id(v.id, seg.id) for seg in segments]
+        ends = [i for i, vid in enumerate(ids) if vid in referenced] or [0]
+        span = range(ends[0], ends[-1] + 1)
+        for i in span:
+            # Segments are small enough to count as punctual vertices.
+            vertices.append(Vertex(
+                id=ids[i], kind=v.kind, dim=Dimensionality.PUNCTUAL,
+                is_property=v.is_property, coord=segments[i].coord,
+                parish=v.parish, inside_old_walls=v.inside_old_walls,
+                source_object=v.id, source_segment=segments[i].id))
+        edges.extend(Edge(ids[i], ids[i + 1],
+                          NormalizedType.ARTIFICIAL_ADJACENCY,
+                          EdgeOrigin.ARTIFICIAL) for i in span[:-1])
     return ConfrontGraph(vertices, edges, method=g.method, meta=g.meta)
-
-
-def _prune_artificial_leaves(vertices: list[Vertex],
-                             edges: list[Edge]) -> tuple[list[Vertex], list[Edge]]:
-    """Drop vertices whose only incident edge is one artificial link,
-    repeatedly, until stable."""
-    incident: dict[str, list[int]] = {v.id: [] for v in vertices}
-    for pos, e in enumerate(edges):
-        incident[e.source].append(pos)
-        incident[e.target].append(pos)
-    dead_edges: set[int] = set()
-    dropped: set[str] = set()
-
-    def prunable(vid: str) -> bool:
-        live = [p for p in incident[vid] if p not in dead_edges]
-        return (len(live) == 1
-                and edges[live[0]].type is NormalizedType.ARTIFICIAL_ADJACENCY)
-
-    queue = [v.id for v in vertices if prunable(v.id)]
-    while queue:
-        vid = queue.pop()
-        if vid in dropped or not prunable(vid):
-            continue
-        dropped.add(vid)
-        live = [p for p in incident[vid] if p not in dead_edges]
-        edge_pos = live[0]
-        dead_edges.add(edge_pos)
-        e = edges[edge_pos]
-        neighbour = e.target if e.source == vid else e.source
-        if prunable(neighbour):
-            queue.append(neighbour)
-    if not dropped:
-        return vertices, edges
-    vertices = [v for v in vertices if v.id not in dropped]
-    edges = [e for pos, e in enumerate(edges) if pos not in dead_edges]
-    return vertices, edges
 
 
 def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:

@@ -100,8 +100,12 @@ def merge_equal_objects(db: Database) -> Database:
             rel = replace(rel, source_id=source, target_id=target,
                           target_segment=segment)
         relations.append(rel)
-    return Database.from_parts(merged.values(), unique_by(
-        relations, lambda r: (r.source_id, r.target_id, r.raw_type)))
+    # The records passed the cross-record checks, and merging keeps kinds
+    # and re-resolves bindings; the baseline, judged on canonical
+    # endpoints, stays too.
+    return Database(merged, tuple(unique_by(
+        relations, lambda r: (r.source_id, r.target_id, r.raw_type))),
+        db.property_baseline)
 
 
 def normalization_rows() -> list[dict[str, str]]:

@@ -235,11 +235,6 @@ def cache_bytes(g: ConfrontGraph, manifest_hash: str | None = None) -> bytes:
     return buf.getvalue()
 
 
-def write_cache(g: ConfrontGraph, path: str | Path,
-                manifest_hash: str | None = None) -> None:
-    atomic_write_bytes(path, cache_bytes(g, manifest_hash))
-
-
 def read_cache(path: str | Path) -> ConfrontGraph:
     path = Path(path)
     try:

@@ -231,3 +231,19 @@ def synthetic_database(seed: int) -> Database:
                                  ObjectKind.PROPERTY,
                                  Dimensionality.PUNCTUAL))
     return Database.from_parts(objects, relations)
+
+
+def egal_heavy(seed: int) -> Database:
+    """The seed's database plus eight random same-kind equalities."""
+    db = synthetic_database(seed)
+    rnd = random.Random(seed)
+    by_kind: dict[str, list[str]] = {}
+    for obj in db.objects.values():
+        by_kind.setdefault(obj.kind.value, []).append(obj.id)
+    kinds = sorted(k for k, ids in by_kind.items() if len(ids) > 1)
+    extra = []
+    for n in range(8):
+        a, b = rnd.sample(by_kind[rnd.choice(kinds)], 2)
+        extra.append(RelationRecord(f"eq{n}", a, b, "Egal"))
+    return Database.from_parts(db.objects.values(),
+                               db.relations + tuple(extra))

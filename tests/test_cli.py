@@ -11,11 +11,11 @@ import pytest
 
 import elementtree_oracle as oracle
 from conftest import make_graph, synthetic_database
+from register_writer import save_database
 from confront_net.cli import CACHE_SUFFIX, main
-from confront_net.data_model import save_database
 from confront_net.extract import METHOD_CODES
 from confront_net.graph import ConfrontGraph
-from confront_net.serialize import read_cache, write_cache
+from confront_net.serialize import atomic_write_bytes, cache_bytes, read_cache
 
 SEED = 0
 
@@ -32,6 +32,10 @@ def db_files(tmp_path_factory):
                  "--relations", str(root / "relations.csv"),
                  "--segments", str(root / "segments.csv")],
     }
+
+
+def write_cache(g, path):
+    atomic_write_bytes(path, cache_bytes(g))
 
 
 def run(capsys, *argv):
@@ -172,28 +176,6 @@ def test_extract_all_reruns_byte_identically(capsys, db_files, tmp_path):
             assert a == b
         else:
             assert path.read_bytes() == twin.read_bytes(), path.name
-
-
-def test_extract_all_is_thread_invariant(capsys, db_files, tmp_path,
-                                         monkeypatch):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert extract_all(capsys, db_files, serial)[0] == 0
-    monkeypatch.setenv("CONFRONT_THREADS", "4")
-    assert extract_all(capsys, db_files, threaded)[0] == 0
-    for method in METHOD_CODES:
-        name = f"{method}{CACHE_SUFFIX}"
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
-
-
-def test_bad_thread_count_warns_and_runs(capsys, db_files, tmp_path,
-                                         monkeypatch):
-    monkeypatch.setenv("CONFRONT_THREADS", "lots")
-    code, _, err = run(capsys, "extract", *db_files["argv"],
-                       "--method", "RFW_all", "--threshold", "4",
-                       "--out", str(tmp_path))
-    assert code == 0
-    assert "CONFRONT_THREADS" in err
 
 
 def test_stats_from_cached_graphs(capsys, db_files, tmp_path):
@@ -603,6 +585,38 @@ def test_oversized_json_integers_are_located_data_errors(capsys, tmp_path,
     assert err.startswith(f"error: {message}")
     assert err.rstrip().endswith(f"[{objects}]")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("bad,owner", [("objects", "object 'h'"),
+                                       ("segments", "segment 's0'")])
+def test_non_finite_csv_coordinates_are_located_data_errors(
+        capsys, tmp_path, value, bad, owner):
+    files = {
+        "objects": [
+            "id,name,kind,dim,x,y,length_m,parish,inside_old_walls,declared",
+            "st,st,Street,Linear,,,80.0,,,",
+            "h,h,Property,Punctual,%s,0,,,," % (
+                value if bad == "objects" else "1.0")],
+        "segments": [
+            "object_id,segment_id,order,x,y",
+            "st,s0,0,0,%s" % (value if bad == "segments" else "2.0"),
+            "st,s1,1,0,3.0"],
+        "relations": ["id,source_id,target_id,raw_type,origin,"
+                      "target_segment", "r1,h,st,Juxta,,s0"],
+    }
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, lines in files.items():
+        paths[name].write_text("\n".join(lines) + "\n")
+    line = 3 if bad == "objects" else 2
+    code, _, err = run(capsys, "extract", "--objects", str(paths["objects"]),
+                       "--relations", str(paths["relations"]),
+                       "--segments", str(paths["segments"]),
+                       "--method", "RFW_all", "--threshold", "1",
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == (f"error: {owner}: coordinates must be two finite numbers "
+                   f"[{paths[bad]}:{line}]\n")
 
 
 @pytest.mark.parametrize("coord", [BIG, HUGE], ids=["overflow", "too-long"])

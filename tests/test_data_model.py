@@ -7,10 +7,11 @@ import math
 import pytest
 
 from conftest import synthetic_database
+from register_writer import save_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject, load_database,
-                                     save_database, validate_database)
+                                     validate_database)
 from confront_net.errors import (DanglingEndpoint, DuplicateId,
                                  MalformedRecord, UnknownRawType)
 from confront_net.extract import ExtractionMethod, build_full_graph, extract

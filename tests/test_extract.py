@@ -2,8 +2,11 @@
 handling with its split/chain/prune mechanics, injection, and the
 component size filter. The split cases are hand-traced."""
 
+import importlib
+
 import pytest
 
+import prune_oracle
 from conftest import synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
@@ -12,12 +15,15 @@ from confront_net.errors import (EmptyResult, MalformedRecord, MissingLength,
                                  MissingSegments, UnmappableType)
 from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
                                   build_full_graph, extract,
-                                  filter_components, filter_hierarchy,
-                                  handle_nonpunctual, inject_additional,
-                                  segment_vertex_id)
+                                  extract_or_empty, filter_components,
+                                  filter_hierarchy, handle_nonpunctual,
+                                  inject_additional, segment_vertex_id)
 from confront_net.graph import EdgeOrigin
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
+
+# The package re-exports the function `extract` under the module's name.
+extract_module = importlib.import_module("confront_net.extract")
 
 R = NormalizedType.RELATED_TO
 ART = NormalizedType.ARTIFICIAL_ADJACENCY
@@ -193,6 +199,30 @@ def test_split_segment_vertices_carry_owner_attributes():
     assert v.source_object == "X"
     assert v.source_segment == "s2"
     assert segment_vertex_id("X", "s2") == "X#s2"
+
+
+def test_an_unreferenced_split_street_keeps_its_first_segment():
+    # w is a vertex of the full graph only through its InsideOf edge; F
+    # drops that edge and the split scope drops the parish, so none of
+    # w's segments is referenced and the chain shrinks to w#a.
+    objects = [prop("p1"), prop("p2"),
+               street("w", segments=(Segment("a"), Segment("b"),
+                                     Segment("c"))),
+               SpatialObject("par", "parish", ObjectKind.PARISH_OR_SECTOR,
+                             Dimensionality.SURFACE)]
+    relations = [RelationRecord("r1", "p1", "p2", "Juxta"),
+                 RelationRecord("r2", "w", "par", "In")]
+    db = Database.from_parts(objects, relations)
+    full = build_full_graph(db)
+    assert [(e.source, e.target, e.type) for e in full.edges] == [
+        ("p1", "p2", R), ("w", "par", NormalizedType.INSIDE_OF)]
+    for code in ("RFS_all", "RHS_all", "RFS_streets", "EFS_all"):
+        m = method(code, threshold=1)
+        g = extract(db, m, full)
+        assert g.vertex_ids() == ["p1", "p2", "w#a"], code
+        assert [(e.source, e.target) for e in g.edges] == [("p1", "p2")]
+        assert g == prune_oracle.handle_nonpunctual(
+            full if m.keep_hierarchy else filter_hierarchy(full), db, m)
 
 
 def test_whole_mode_keeps_nonpunctual_streets():
@@ -467,3 +497,34 @@ def test_extract_threshold_25_on_small_graphs_is_empty():
     db = component_db([6, 4])
     with pytest.raises(EmptyResult):
         extract(db, ExtractionMethod.from_code("RFW_all"))
+
+
+def pipeline_outcome(db, m, full):
+    """What the cache of `extract_or_empty` holds."""
+    g = extract_or_empty(db, m, full)
+    return g, g.meta, g.method
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_span_rule_equals_the_worklist_pruning(seed, monkeypatch):
+    db = merge_equal_objects(synthetic_database(seed))
+    full = build_full_graph(db)
+    filtered = filter_hierarchy(full)
+    for code in METHOD_CODES:
+        for k in ((0, 1, 2, 4) if code.endswith("_k") else (0,)):
+            m = method(code, k=k)
+            g = full if m.keep_hierarchy else filtered
+            try:
+                stage = handle_nonpunctual(g, db, m)
+            except MissingSegments:
+                with pytest.raises(MissingSegments):
+                    prune_oracle.handle_nonpunctual(g, db, m)
+                continue
+            assert stage == prune_oracle.handle_nonpunctual(g, db, m)
+            for threshold in (1, 2, 4):
+                m = method(code, k=k, threshold=threshold)
+                got = pipeline_outcome(db, m, full)
+                with monkeypatch.context() as patch:
+                    patch.setattr(extract_module, "handle_nonpunctual",
+                                  prune_oracle.handle_nonpunctual)
+                    assert pipeline_outcome(db, m, full) == got

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import synthetic_database
-from confront_net.data_model import Database, RelationRecord
+from conftest import egal_heavy, synthetic_database
+from confront_net.data_model import Database
 from confront_net.normalize import merge_equal_objects
 from confront_net.sweep import SweepPoint, pareto_front, select_best
 
@@ -34,22 +34,6 @@ def sha256(value) -> str:
 
 def dump(db: Database):
     return list(db.objects.items()), db.relations, db.property_baseline
-
-
-def egal_heavy(seed: int) -> Database:
-    """The seed's database plus eight random same-kind equalities."""
-    db = synthetic_database(seed)
-    rnd = random.Random(seed)
-    by_kind: dict[str, list[str]] = {}
-    for obj in db.objects.values():
-        by_kind.setdefault(obj.kind.value, []).append(obj.id)
-    kinds = sorted(k for k, ids in by_kind.items() if len(ids) > 1)
-    extra = []
-    for n in range(8):
-        a, b = rnd.sample(by_kind[rnd.choice(kinds)], 2)
-        extra.append(RelationRecord(f"eq{n}", a, b, "Egal"))
-    return Database.from_parts(db.objects.values(),
-                               db.relations + tuple(extra))
 
 
 @pytest.mark.parametrize("seed", range(64))

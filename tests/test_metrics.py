@@ -33,8 +33,8 @@ from scipy.stats import rankdata
 from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
                       hop_matrix, make_graph, make_vertex, random_graph,
                       spearman_distance_correlation, synthetic_database)
+from register_writer import save_database
 from confront_net import cli, metrics
-from confront_net.data_model import save_database
 from confront_net.errors import InsufficientCoordinates, NoFinitePairs
 from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge

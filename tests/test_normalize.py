@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import egal_heavy, synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
@@ -317,6 +318,19 @@ def test_merge_is_independent_of_egal_order():
         again = merge_equal_objects(
             Database.from_parts(objects, shuffled + plain))
         assert again == reference
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_merge_equals_from_parts_of_its_own_records(seed):
+    # The merge builds its Database without re-checking its records: they
+    # must pass from_parts as they are and give the same baseline.
+    for db in (synthetic_database(seed), egal_heavy(seed)):
+        merged = merge_equal_objects(db)
+        rebuilt = Database.from_parts(merged.objects.values(),
+                                      merged.relations)
+        assert merged == rebuilt
+        assert list(merged.objects) == list(rebuilt.objects)
+        assert merged.property_baseline == db.property_baseline
 
 
 def test_merge_preserves_property_baseline_semantics():

@@ -16,7 +16,7 @@ from confront_net.extract import ExtractionMethod, extract
 from confront_net.normalize import merge_equal_objects
 from confront_net.serialize import (atomic_write_bytes, cache_bytes,
                                     community_gexf_bytes, gexf_bytes,
-                                    graphml_bytes, read_cache, write_cache)
+                                    graphml_bytes, read_cache)
 
 HASH = "a" * 64
 
@@ -42,7 +42,7 @@ def test_cache_gzip_header_is_timeless(graph):
 
 def test_cache_round_trip(graph, tmp_path):
     path = tmp_path / "g.graph.json.gz"
-    write_cache(graph, path, HASH)
+    atomic_write_bytes(path, cache_bytes(graph, HASH))
     back = read_cache(path)
     assert back == graph
     assert back.method == graph.method
@@ -54,7 +54,7 @@ def test_cache_round_trip(graph, tmp_path):
 
 def test_cache_round_trip_preserves_bindings(graph, tmp_path):
     path = tmp_path / "g.graph.json.gz"
-    write_cache(graph, path)
+    atomic_write_bytes(path, cache_bytes(graph))
     back = read_cache(path)
     assert [e.target_segment for e in back.edges] == [
         e.target_segment for e in graph.edges]
