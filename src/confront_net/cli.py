@@ -18,6 +18,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
@@ -36,6 +37,7 @@ from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
 from .sweep import default_k_range, select_best, sweep_k
 
 CACHE_SUFFIX = ".graph.json.gz"
+_Result = TypeVar("_Result")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,6 +187,19 @@ def _warn_empty(label: str) -> None:
           file=sys.stderr)
 
 
+def _reuse(earlier: list[tuple[ConfrontGraph, _Result]], g: ConfrontGraph,
+           compute: Callable[[], _Result]) -> _Result:
+    """The result kept for an earlier graph of the command that equals
+    `g` with its vertices in the same order (a profile sums its metres in
+    pair order), else `compute()`, kept for the graphs that follow."""
+    for seen, result in earlier:
+        if seen == g and seen.vertex_ids() == g.vertex_ids():
+            return result
+    result = compute()
+    earlier.append((g, result))
+    return result
+
+
 # --- subcommands ----------------------------------------------------------
 
 def cmd_extract(args: argparse.Namespace,
@@ -203,15 +218,18 @@ def cmd_extract(args: argparse.Namespace,
 
     render = graphml_bytes if args.format == "graphml" else gexf_bytes
     rows = []
+    summaries: list[tuple[ConfrontGraph, GraphSummary]] = []
     if args.all:
-        rows.append(_stats_row("full", summarize(full, db.property_baseline)))
+        rows.append(_stats_row("full", _reuse(
+            summaries, full, lambda: summarize(full, db.property_baseline))))
     for method, g in zip(methods, graphs):
         atomic_write_bytes(args.out / f"{method.code}.{args.format}",
                            render(g, mhash))
         atomic_write_bytes(args.out / f"{method.code}{CACHE_SUFFIX}",
                            cache_bytes(g, mhash))
         if args.all:
-            summary = summarize(g, db.property_baseline)
+            summary = _reuse(summaries, g,
+                             lambda: summarize(g, db.property_baseline))
             rows.append(_stats_row(method.code, summary))
             components = summary.components
         else:
@@ -233,18 +251,34 @@ def cmd_stats(args: argparse.Namespace,
     rows: list[list[str]] = []
     profiles: list[tuple[str, DistanceProfile]] = []
     empty: list[str] = []
+    measured: list[tuple[ConfrontGraph,
+                         tuple[GraphSummary, DistanceProfile | None]]] = []
 
-    def measure(label: str, g: ConfrontGraph, baseline: int | None) -> None:
+    def row_and_profile(
+            g: ConfrontGraph, baseline: int | None
+    ) -> tuple[GraphSummary, DistanceProfile | None]:
         # One hop pass feeds both the row and the profile; only the small
-        # profile outlives this graph.
+        # profile outlives this graph's pairs.
         pairs = pair_distances(g)
-        rows.append(_stats_row(label, summarize(g, baseline, pairs)))
+        summary = summarize(g, baseline, pairs)
+        profile = None
         if args.profile:
             try:
-                profiles.append((label, distance_profile(g, pairs)))
+                profile = distance_profile(g, pairs)
             except InsufficientCoordinates:
+                pass
+        return summary, profile
+
+    def measure(label: str, g: ConfrontGraph, baseline: int | None) -> None:
+        summary, profile = _reuse(measured, g,
+                                  lambda: row_and_profile(g, baseline))
+        rows.append(_stats_row(label, summary))
+        if args.profile:
+            if profile is None:
                 print(f"warning: graph {label!r} has fewer than 2 located "
                       f"vertices; no profile written", file=sys.stderr)
+            else:
+                profiles.append((label, profile))
         if g.n == 0:
             empty.append(label)
 

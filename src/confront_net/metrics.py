@@ -16,15 +16,28 @@ profile) consider only vertex pairs where both ends carry coordinates.
 
 d_harm and rho_d are computed from exact integer sums and rounded once:
 d_harm over the hop buckets, rho_d from doubled average ranks, whose
-sums are integers. `rank_correlation` codes hops by their bucket (the
-unreachable mark is the last, tied block) and splits the metres, sorted
-once, into tie blocks; its result does not depend on the order of the
-pairs.
+sums are integers. `rank_correlation` codes hops by their present
+buckets (the unreachable mark is the last, tied block) and packs each
+pair into one uint64 key: from the top, the dense index of the sign and
+exponent bits of an order-preserving image of the metre (-0.0 folded to
++0.0), its 52 mantissa bits, then the hop code. The key array is sorted
+in place. The image is one-to-one and keeps order, and the dense index
+keeps the order of the classes present, so keys without their code bits
+are equal exactly when their metres are, and the metre tie runs are the
+runs of equal `key >> code_bits`. When the two indices need more than
+the 12 bits the sign and exponent took (long paths with uint16 hops),
+an `argsort` of the images orders the pairs instead, and the rank pass
+is the same. No order, sorted copy or rank array of the pairs is built,
+and the result does not depend on the order of the pairs.
+`distance_profile` picks each hop bucket's metres with a mask, in pair
+order, so its means and stds sum the same values in the same order as
+the stable hop sort of earlier versions did.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +47,15 @@ from .graph import ConfrontGraph
 
 #: Values per `np.bincount` call (its intp copy takes 512 KiB).
 _BLOCK = 1 << 16
+#: Pairs per block of the rank passes, whose temporaries take a few
+#: bytes per value each.
+_KEY_BLOCK = 1 << 13
+#: The layout of a float64's bits: sign and exponent above the mantissa.
+_MANTISSA_BITS = np.uint64(52)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_CLASS_BITS = 12  # the sign and exponent bits
+_SIGN = np.uint64(1 << 63)
+_SIGN_SHIFT = np.int64(63)
 
 
 @dataclass(frozen=True)
@@ -145,20 +167,15 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> np.ndarray:
     return hops
 
 
-def _blocked_bincount(values: np.ndarray, minlength: int,
-                      weights: np.ndarray | None = None) -> np.ndarray:
+def _blocked_bincount(values: np.ndarray, minlength: int) -> np.ndarray:
     """`np.bincount` of a 1-d array as int64, summed over blocks of
     `_BLOCK` values: bincount copies its input to intp, so one call on
     the whole array would cost 8 bytes per value. `minlength` exceeds
-    every value. Weighted blocks are exact while their sums stay below
-    2^53, which holds for weights that are integers below 2^32."""
+    every value."""
     counts = np.zeros(minlength, np.int64)
     for start in range(0, values.size, _BLOCK):
-        stop = start + _BLOCK
-        counts += np.bincount(
-            values[start:stop], minlength=minlength,
-            weights=None if weights is None else weights[start:stop]
-        ).astype(np.int64, copy=False)
+        counts += np.bincount(values[start:start + _BLOCK],
+                              minlength=minlength)
     return counts
 
 
@@ -233,16 +250,6 @@ def _tie_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def _tie_lengths(ascending: np.ndarray) -> np.ndarray:
-    """The lengths of the tie blocks of an ascending array: the steps
-    between the blocks' last positions, taken in place."""
-    last = np.flatnonzero(np.append(ascending[1:] != ascending[:-1],
-                                    ascending.size > 0))
-    last[1:] -= last[:-1].copy()
-    last[:1] += 1
-    return last
-
-
 def _doubled_ranks(lengths: np.ndarray) -> np.ndarray:
     """Twice the average 1-based rank of each tie block, given the block
     lengths in ascending order: the block's first plus last position, an
@@ -250,13 +257,16 @@ def _doubled_ranks(lengths: np.ndarray) -> np.ndarray:
     return 2 * np.cumsum(lengths) - lengths + 1
 
 
-def _doubled_rank_squares(lengths: np.ndarray) -> int:
-    """The sum of the squared doubled ranks over the tie blocks:
-    4 * sum(r^2) for P untied ranks, less (c^3 - c) / 3 per tie block of
-    c, as Python ints."""
-    size = int(lengths.sum())
-    ties = sum(c ** 3 - c for c in lengths[lengths > 1].tolist())
-    return (2 * size * (size + 1) * (2 * size + 1) - ties) // 3
+def _tie_excess(lengths: np.ndarray) -> int:
+    """The sum of c^3 - c over tie blocks of lengths c, as a Python int."""
+    return sum(c ** 3 - c for c in lengths[lengths > 1].tolist())
+
+
+def _doubled_rank_squares(size: int, excess: int) -> int:
+    """The sum of the squared doubled ranks of `size` values whose tie
+    blocks have the given `_tie_excess`: 4 * sum(r^2) for untied ranks,
+    less excess / 3."""
+    return (2 * size * (size + 1) * (2 * size + 1) - excess) // 3
 
 
 def _ratio_to_root(num: int, square: int) -> float:
@@ -274,6 +284,127 @@ def _ratio_to_root(num: int, square: int) -> float:
     return math.copysign(root / (1 << k), num)
 
 
+def _order_image(values: np.ndarray) -> np.ndarray:
+    """uint64 images of non-NaN values that keep their order and their
+    ties. A float is taken to float64 and -0.0 folded to +0.0; its bits
+    get the sign bit set when it is non-negative and are all flipped when
+    it is negative. A signed integer is offset by 2^63."""
+    kind = values.dtype.kind
+    if kind in "ub":
+        return values.astype(np.uint64)
+    if kind == "i":
+        return values.astype(np.int64).view(np.uint64) ^ _SIGN
+    bits = np.add(values, 0.0, dtype=np.float64).view(np.uint64)
+    flip = (bits.view(np.int64) >> _SIGN_SHIFT).view(np.uint64)
+    flip |= _SIGN
+    bits ^= flip
+    return bits
+
+
+def _argsort_keys(image: np.ndarray,
+                  codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The y images in ascending order, with the x codes carried along:
+    one unstable `argsort`, for keys too wide to pack."""
+    order = np.argsort(image)
+    return image[order], codes[order]
+
+
+def _sorted_keys(y: np.ndarray, x_codes: Callable[[int, int], np.ndarray],
+                 blocks: int
+                 ) -> tuple[np.ndarray, np.uint64, np.ndarray | None]:
+    """(keys, shift, codes): the pairs in ascending y order, as uint64
+    keys whose values `>> shift` are equal exactly when the y values are.
+    `x_codes(start, stop)` gives the x blocks of those pairs as uint64
+    codes below `blocks`.
+
+    A packed key holds, from the top: the dense index of the sign and
+    exponent bits of the y image, the 52 low bits of that image, and the
+    x code in `shift` bits. It orders as y does and, among equal y, as
+    the code does, so one in-place sort orders the pairs and `codes` is
+    None. When the two indices need more than the 12 bits that the sign
+    and exponent took, the y images are ordered by `_argsort_keys`,
+    `shift` is 0 and `codes` holds the x codes in that order.
+    """
+    size = y.size
+    keys = np.empty(size, np.uint64)
+    classes = np.zeros(1 << _CLASS_BITS, bool)
+    for start in range(0, size, _KEY_BLOCK):
+        image = keys[start:start + _KEY_BLOCK]
+        image[:] = _order_image(y[start:start + _KEY_BLOCK])
+        classes[(image >> _MANTISSA_BITS).view(np.int64)] = True
+    code_bits = (blocks - 1).bit_length()
+    if (int(classes.sum()) - 1).bit_length() + code_bits > _CLASS_BITS:
+        keys, codes = _argsort_keys(keys, x_codes(0, size))
+        return keys, np.uint64(0), codes
+    dense = (np.cumsum(classes) - 1).astype(np.uint64)
+    shift = np.uint64(code_bits)
+    # With one class its index is 0, and a shift by 64 leaves 0 in numpy.
+    top = np.uint64(_MANTISSA_BITS + shift)
+    for start in range(0, size, _KEY_BLOCK):
+        key = keys[start:start + _KEY_BLOCK]
+        high = dense[(key >> _MANTISSA_BITS).view(np.int64)]
+        high <<= top
+        key &= _MANTISSA
+        key <<= shift
+        key |= high
+        key |= x_codes(start, start + key.size)
+    keys.sort()
+    return keys, shift, None
+
+
+def _rank_sums(keys: np.ndarray, shift: np.uint64, codes: np.ndarray | None,
+               blocks: int) -> tuple[np.ndarray, int]:
+    """(sums, excess) over the pairs in `_sorted_keys` order: `sums[h]`
+    adds the doubled y ranks of the pairs in x block h, and `excess` is
+    the `_tie_excess` of the y tie runs, the runs of equal `keys >> shift`.
+
+    Position i holds doubled rank 2i + 2 unless it lies in a tie run; a
+    run from position f to l gives each of its pairs f + l + 2. Each
+    block looks one key past either edge, so a run cut by an edge is
+    seen from both blocks; its far end comes from a `searchsorted` in the
+    sorted keys, and it is counted in the block where it starts. A
+    block's weighted `bincount` adds at most 2^13 doubled ranks of at
+    most 2P each, so its float sums are exact while P < 2^39.
+    """
+    size = keys.size
+    mask = (np.uint64(1) << shift) - np.uint64(1)
+    sums = np.zeros(blocks, np.int64)
+    excess = 0
+    for start in range(0, size, _KEY_BLOCK):
+        stop = min(start + _KEY_BLOCK, size)
+        lo, hi = max(start - 1, 0), min(stop + 1, size)
+        values = keys[lo:hi] >> shift
+        doubled = np.arange(2 * start + 2, 2 * stop + 2, 2, dtype=np.float64)
+        # Positions i and i + 1 tie for each i in `tied`.
+        tied = np.flatnonzero(values[1:] == values[:-1]) + lo
+        if tied.size:
+            cuts = np.flatnonzero(np.diff(tied) != 1) + 1
+            first = tied[np.concatenate(([0], cuts))]
+            last = tied[np.append(cuts - 1, -1)] + 1
+            if first[0] < start:
+                first[0] = np.searchsorted(keys, values[0] << shift)
+            if last[-1] == stop:
+                last[-1] = np.searchsorted(keys, values[-1] << shift | mask,
+                                           "right") - 1
+            runs = (last - first + 1)[first >= start]
+            if last[-1] >= stop and first[-1] >= start:
+                # The one run long enough for its cube to pass 2^63.
+                excess += _tie_excess(runs[-1:])
+                runs = runs[:-1]
+            excess += int((runs ** 3 - runs).sum())
+            # Each run's positions in this block take its doubled rank.
+            begin = np.maximum(first, start) - start
+            lengths = np.minimum(last, stop - 1) - start + 1 - begin
+            offsets = np.arange(lengths.sum()) + np.repeat(
+                begin - (np.cumsum(lengths) - lengths), lengths)
+            doubled[offsets] = np.repeat(first + last + 2, lengths)
+        block = keys[start:stop]
+        block_codes = block & mask if codes is None else codes[start:stop]
+        sums += np.bincount(block_codes.astype(np.intp), weights=doubled,
+                            minlength=blocks).astype(np.int64)
+    return sums, excess
+
+
 def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rho with average ranks for ties; infinite values and the
     unreachable mark of unsigned hops rank as tied extreme blocks. NaN
@@ -281,38 +412,43 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
 
     The rank sums are exact integers on doubled ranks, so rho is the
     correctly rounded coefficient, whatever the order of the pairs. x is
-    coded by tie block; y is sorted once, unstably, and split into tie
-    blocks. Every pair in x block h has the same doubled rank A_h, so the
-    cross sum is sum_h A_h * S_h, where S_h sums the doubled y ranks over
-    that block; the x codes are carried into y order for it, so no rank
-    is scattered back to pair order.
+    coded by its present tie blocks, and each pair becomes one uint64 key
+    of its y order and its x code (`_sorted_keys`), sorted in place; no
+    order, sorted copy or rank array of the pairs is built. Every pair in
+    x block h has the same doubled rank A_h, so the cross sum is
+    sum_h A_h * S_h, where S_h sums the doubled y ranks over that block
+    (`_rank_sums`).
     """
     x, y = np.asarray(x), np.asarray(y)
     size = x.size
     if size < 2 or any(v.dtype.kind == "f" and np.isnan(v).any()
                        for v in (x, y)):
         return math.nan
-    # Each array of P values is dropped as soon as it has been read, which
-    # keeps the peak near 25 bytes per pair beyond x and y.
     codes, x_lengths = _tie_codes(x)
-    order = np.argsort(y)
-    codes = codes[order]
-    y_sorted = y[order]
-    del order
-    y_lengths = _tie_lengths(y_sorted)
-    del y_sorted
-    y_ranks = np.repeat(_doubled_ranks(y_lengths), y_lengths)
-    sums = _blocked_bincount(codes, x_lengths.size, y_ranks)
-    del codes, y_ranks
     present = np.flatnonzero(x_lengths)
-    cross = sum(a * s for a, s in zip(
-        _doubled_ranks(x_lengths)[present].tolist(), sums[present].tolist()))
+    if present.size < 2:
+        return math.nan
+    x_lengths = x_lengths[present]
+    if codes is x:  # hops: the dense index of each present hop count
+        dense = np.zeros(_unreachable(x) + 1, np.uint64)
+        dense[present] = np.arange(present.size, dtype=np.uint64)
+
+        def x_codes(start: int, stop: int) -> np.ndarray:
+            return dense[x[start:stop]]
+    else:
+        def x_codes(start: int, stop: int) -> np.ndarray:
+            return codes[start:stop].astype(np.uint64)
+    keys, shift, sorted_codes = _sorted_keys(y, x_codes, present.size)
+    sums, y_excess = _rank_sums(keys, shift, sorted_codes, present.size)
+    cross = sum(a * s for a, s in zip(_doubled_ranks(x_lengths).tolist(),
+                                      sums.tolist()))
     # P times the centred sums: the doubled ranks on each side sum to
     # P(P + 1).
     square_of_sum = (size * (size + 1)) ** 2
-    var_x = size * _doubled_rank_squares(x_lengths) - square_of_sum
-    var_y = size * _doubled_rank_squares(y_lengths) - square_of_sum
-    if var_x == 0 or var_y == 0:
+    var_x = (size * _doubled_rank_squares(size, _tie_excess(x_lengths))
+             - square_of_sum)
+    var_y = size * _doubled_rank_squares(size, y_excess) - square_of_sum
+    if var_y == 0:
         return math.nan
     return _ratio_to_root(size * cross - square_of_sum, var_x * var_y)
 
@@ -320,7 +456,12 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
 def distance_profile(g: ConfrontGraph,
                      pairs: PairDistances | None = None) -> DistanceProfile:
     """Mean and std of the spatial distance per hop count; `pairs`, when
-    given, is the graph's `pair_distances` result, reused as is."""
+    given, is the graph's `pair_distances` result, reused as is.
+
+    Each bucket's metres are picked by a mask, `spatial[hops == h]`, in
+    the pairs' own order, ascending in h, so the unreachable bucket is
+    last. Only one mask and one bucket are held at a time.
+    """
     if pairs is None:
         pairs = pair_distances(g)
     if pairs.located is None:
@@ -328,21 +469,15 @@ def distance_profile(g: ConfrontGraph,
         raise InsufficientCoordinates(
             f"need at least 2 located vertices, have {have}")
     graph_d, spatial = pairs.located
-    # One stable sort makes each bucket a slice of the metres in the
-    # pairs' own order, so its sums, means and stds are those of the
-    # bucket picked out by a mask. numpy sorts the small unsigned hops
-    # stably by radix; ascending, so the unreachable bucket is last.
-    order = np.argsort(graph_d, kind="stable")
-    graph_d, spatial = graph_d[order], spatial[order]
-    cuts = np.flatnonzero(graph_d[1:] != graph_d[:-1]) + 1
     mark = _unreachable(graph_d)
-    return DistanceProfile(tuple(
-        ProfileBucket(graph_distance=(math.inf if graph_d[start] == mark
-                                      else float(graph_d[start])),
-                      count=int(sel.size), mean_spatial=float(sel.mean()),
-                      std_spatial=float(sel.std()))
-        for start, sel in zip(np.concatenate(([0], cuts)),
-                              np.split(spatial, cuts))))
+    buckets = []
+    for h in np.flatnonzero(_blocked_bincount(graph_d, mark + 1)).tolist():
+        sel = spatial[graph_d == h]
+        buckets.append(ProfileBucket(
+            graph_distance=math.inf if h == mark else float(h),
+            count=int(sel.size), mean_spatial=float(sel.mean()),
+            std_spatial=float(sel.std())))
+    return DistanceProfile(tuple(buckets))
 
 
 def summarize(g: ConfrontGraph, baseline: int | None = None,

@@ -5,13 +5,17 @@ Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 import gzip
 import importlib
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import elementtree_oracle as oracle
 from conftest import make_graph, synthetic_database
 from register_writer import save_database
+from confront_net import cli
 from confront_net.cli import CACHE_SUFFIX, main
 from confront_net.extract import METHOD_CODES
 from confront_net.graph import ConfrontGraph
@@ -176,6 +180,69 @@ def test_extract_all_reruns_byte_identically(capsys, db_files, tmp_path):
             assert a == b
         else:
             assert path.read_bytes() == twin.read_bytes(), path.name
+
+
+@pytest.fixture(scope="module")
+def avignon_shaped_files(tmp_path_factory):
+    """The benchmark's generated register at its smallest scale, where
+    RHS_all equals RFS_all and EHS_all equals EFS_all."""
+    root = tmp_path_factory.mktemp("register")
+    generator = Path(__file__).resolve().parents[1] / "perfbench"
+    subprocess.run([sys.executable, str(generator / "register.py"),
+                    "--scale", "0.04",
+                    "--seed", "0", "--out", str(root)],
+                   check=True, capture_output=True)
+    return [f"--{name}={root / name}.csv"
+            for name in ("objects", "relations", "segments")]
+
+
+def counted(monkeypatch, name):
+    """Wrap `cli.<name>` and return the list of its calls."""
+    calls = []
+    real = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+def test_extract_all_summarizes_equal_variants_once(
+        capsys, monkeypatch, avignon_shaped_files, tmp_path):
+    """`extract --all` summarizes 15 of its 17 graphs and reuses the rows
+    of the two equal variants; stats.csv keeps every byte of a run that
+    summarizes each graph."""
+    calls = counted(monkeypatch, "summarize")
+    argv = ["extract", *avignon_shaped_files, "--all", "--k", "7", "--out"]
+    assert run(capsys, *argv, str(tmp_path / "reused"))[0] == 0
+    assert len(calls) == 15
+    monkeypatch.setattr(cli, "_reuse", lambda earlier, g, compute: compute())
+    assert run(capsys, *argv, str(tmp_path / "each"))[0] == 0
+    assert len(calls) == 15 + 17
+    assert ((tmp_path / "reused" / "stats.csv").read_bytes()
+            == (tmp_path / "each" / "stats.csv").read_bytes())
+
+
+def test_stats_all_profiles_equal_variants_once(
+        capsys, monkeypatch, avignon_shaped_files, tmp_path):
+    """`stats --all --profile` reuses the row and the profile of an equal
+    earlier variant; every file keeps its bytes."""
+    calls = counted(monkeypatch, "distance_profile")
+    outputs = {}
+    for name, reuse in (("reused", cli._reuse),
+                        ("each", lambda earlier, g, compute: compute())):
+        monkeypatch.setattr(cli, "_reuse", reuse)
+        out = tmp_path / name / "stats.csv"
+        out.parent.mkdir()
+        assert run(capsys, "stats", *avignon_shaped_files, "--all", "--k",
+                   "7", "--out", str(out), "--profile")[0] == 0
+        outputs[name] = {path.name: path.read_bytes()
+                         for path in out.parent.glob("*.csv")}
+    assert len(calls) == 15 + 17
+    assert len(outputs["reused"]) == 1 + 17
+    assert outputs["reused"] == outputs["each"]
 
 
 def test_stats_from_cached_graphs(capsys, db_files, tmp_path):

@@ -17,18 +17,22 @@ without it."""
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
+
+import rank_oracle as argsort_oracle
 
 from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
                       hop_matrix, make_graph, make_vertex, random_graph,
@@ -495,10 +499,10 @@ rank_values = st.one_of(st.integers(0, 40).map(float), st.just(math.inf),
     st.lists(st.one_of(rank_values, st.just(math.nan)), min_size=1,
              max_size=300)))
 def test_hop_ranks_equal_rankdata(values):
-    """Both ways `rank_correlation` ranks against `rankdata`: the tie
-    blocks of the sorted values (metres) and the `np.unique` codes of
-    other values. A NaN makes every `rankdata` rank NaN, and the
-    correlation NaN on either side."""
+    """Both ways `rank_correlation` ranks against `rankdata`: the rank
+    pass over the sorted keys (metres) and the `np.unique` codes of other
+    values. A NaN makes every `rankdata` rank NaN, and the correlation
+    NaN on either side."""
     array = np.array(values, dtype=float)
     want = rankdata(array)
     if np.isnan(array).any():
@@ -507,11 +511,15 @@ def test_hop_ranks_equal_rankdata(values):
         assert math.isnan(rank_correlation(array, other))
         assert math.isnan(rank_correlation(other, array))
         return
-    order = np.argsort(array)
-    lengths = metrics._tie_lengths(array[order])
-    got = np.empty(array.size)
-    got[order] = np.repeat(metrics._doubled_ranks(lengths), lengths) / 2
-    assert np.array_equal(got, want)
+    # With each value in an x block of its own, the rank sums of the
+    # blocks are the doubled ranks of the values.
+    keys, shift, codes = metrics._sorted_keys(
+        array, lambda start, stop: np.arange(start, stop, dtype=np.uint64),
+        array.size)
+    sums, excess = metrics._rank_sums(keys, shift, codes, array.size)
+    assert np.array_equal(sums / 2, want)
+    ties = np.unique(array, return_counts=True)[1].tolist()
+    assert excess == sum(c ** 3 - c for c in ties)
     codes, lengths = metrics._tie_codes(array)
     assert np.array_equal(metrics._doubled_ranks(lengths)[codes] / 2, want)
 
@@ -567,6 +575,79 @@ def test_rank_correlation_is_the_exact_spearman(pairs, rnd):
     assert same(rank_correlation(hops, y), want)
 
 
+def same_bits(a, b):
+    """Equal to the bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or (
+        struct.pack("<d", a) == struct.pack("<d", b))
+
+
+# Values a metre side is built from: one-ulp neighbours of signed zeros,
+# infinities, negatives, subnormals and the largest floats.
+_NEAR_TIES = st.sampled_from(
+    (0.0, -0.0, 1.0, -1.0, 2.5, 40.0, 5e-324, 1e300, -1e300, math.inf,
+     -math.inf)).flatmap(lambda v: st.sampled_from(
+        (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf))))
+_METRES = _NEAR_TIES | st.floats(allow_nan=False) | st.integers(-3, 3).map(
+    float)
+
+
+@st.composite
+def rank_sides(draw):
+    """(x, y): hops as uint8 or uint16 (some at the unreachable mark) or
+    floats, against metres; either side may be constant."""
+    size = draw(st.integers(2, 120))
+    kind = draw(st.sampled_from(("uint8", "uint16", "float")))
+    if kind == "float":
+        value = _METRES
+    else:
+        mark = int(np.iinfo(kind).max)
+        value = st.integers(0, 9) | st.just(mark) | st.integers(0, mark)
+    sides = []
+    for element in (value, _METRES):
+        if draw(st.integers(0, 9)) == 0:
+            values = [draw(element)] * size
+        else:
+            values = draw(st.lists(element, min_size=size, max_size=size))
+        sides.append(values)
+    return np.array(sides[0], dtype=kind), np.array(sides[1])
+
+
+@settings(deadline=None)
+@given(rank_sides(), st.sampled_from((1, 2, 3, 7, 64, 1 << 13)))
+def test_rank_correlation_equals_the_argsort_oracle_bit_for_bit(sides, block):
+    """The packed-key `rank_correlation` returns the bits of the earlier
+    argsort version (`tests/rank_oracle.py`) on near-ties one ulp apart,
+    signed zeros, infinities, negatives and constant sides, for uint8,
+    uint16 and float x. Small key blocks put tie runs across block
+    edges."""
+    x, y = sides
+    with mock.patch.object(metrics, "_KEY_BLOCK", block):
+        got = rank_correlation(x, y)
+    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 5, 64, 1 << 13)))
+def test_rank_correlation_argsort_step_equals_the_oracle(seed, block):
+    """Hundreds of hop counts and metres over hundreds of exponents need
+    more than the 12 bits a packed key has to spare, so the pairs are
+    ordered by an argsort of the metres instead; the result is the
+    oracle's, bit for bit."""
+    rnd = np.random.default_rng(seed)
+    size = int(rnd.integers(600, 1200))
+    x = rnd.integers(0, 500, size).astype(np.uint16)
+    x[rnd.random(size) < 0.1] = np.iinfo(np.uint16).max
+    y = rnd.choice((-1.0, 1.0, 0.0, 3.0), size) * np.ldexp(
+        1.0, rnd.integers(-300, 300, size))
+    y[rnd.random(size) < 0.3] = 0.75
+    with mock.patch.object(metrics, "_KEY_BLOCK", block), \
+            mock.patch.object(metrics, "_argsort_keys",
+                              wraps=metrics._argsort_keys) as step:
+        got = rank_correlation(x, y)
+    assert step.call_count == 1
+    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
+
+
 def test_harmonic_mean_of_integer_hops_equals_the_float_formula():
     """d_harm of a hop histogram equals the exact oracle over the pairs,
     and the float formula of earlier versions to 1e-12."""
@@ -600,7 +681,7 @@ def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
 
 def test_summarize_peak_memory_per_located_pair():
     """Under tracemalloc, `summarize` on a graph of 180k located pairs
-    peaks below 64 bytes per located pair: the hop matrix, one byte per
+    peaks below 32 bytes per located pair: the hop matrix, one byte per
     cell, the located vectors, 9 bytes per pair, and the rank work."""
     rnd = random.Random(3)
     side, n = 25, 640
@@ -614,13 +695,59 @@ def test_summarize_peak_memory_per_located_pair():
     pairs = len(coords) * (len(coords) - 1) // 2
     assert pairs >= 100_000
     summarize(make_graph([(0, 1)], coords={0: (0.0, 0.0), 1: (1.0, 0.0)}))
+    assert peak_bytes(summarize, g) < 32 * pairs
+
+
+def peak_bytes(function, *args):
+    """The tracemalloc peak of one call, after a warm-up call."""
+    function(*args)
     tracemalloc.start()
     try:
-        summarize(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * pairs
+
+
+@pytest.fixture(scope="module")
+def large_located_pairs():
+    """A street grid of 1,089 located vertices (592,416 pairs) with a
+    few missing streets and a small detached block: the (hops, metres)
+    vectors of `pair_distances`."""
+    rnd = random.Random(11)
+    side = 33
+    coords = {i: (12.0 * (i % side) + rnd.random(),
+                  12.0 * (i // side) + rnd.random())
+              for i in range(side * side)}
+    edges = ([(i, i + 1) for i in range(side * side - 1)
+              if (i + 1) % side and rnd.random() < 0.8]
+             + [(i, i + side) for i in range(side * side - side)
+                if rnd.random() < 0.8 and i // side != 30])
+    g = make_graph(edges, coords=coords)
+    pairs = metrics.pair_distances(g)
+    assert pairs.located[0].size >= 500_000
+    return g, pairs
+
+
+def test_rank_correlation_peak_memory_per_pair(large_located_pairs):
+    """Beyond its inputs, `rank_correlation` holds one packed uint64 key
+    per pair and blocks of a fixed size; the argsort step is not taken."""
+    _, pairs = large_located_pairs
+    hops, metres = pairs.located
+    with mock.patch.object(metrics, "_argsort_keys",
+                           wraps=metrics._argsort_keys) as step:
+        peak = peak_bytes(rank_correlation, hops, metres)
+    assert step.call_count == 0
+    assert peak < 12 * hops.size
+    assert same_bits(rank_correlation(hops, metres),
+                     argsort_oracle.rank_correlation(hops, metres))
+
+
+def test_distance_profile_peak_memory_per_pair(large_located_pairs):
+    """`distance_profile` holds one bucket mask, one byte per pair, and
+    one bucket's metres at a time."""
+    g, pairs = large_located_pairs
+    assert peak_bytes(distance_profile, g, pairs) < 8 * pairs.located[0].size
 
 
 def test_cli_import_leaves_out_scipy_stats():
