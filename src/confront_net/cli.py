@@ -58,6 +58,21 @@ def _int_at_least(low: int):
     return integer
 
 
+def _parse_range(text: str) -> list[int]:
+    """An argparse type: the integers of an inclusive range A..B, with
+    0 <= A <= B."""
+    try:
+        low_s, high_s = text.split("..", 1)
+        low, high = int(low_s), int(high_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r} (expected A..B)") from None
+    if low < 0 or high < low:
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r} (need 0 <= A <= B)")
+    return list(range(low, high + 1))
+
+
 def _add_db_arguments(parser: argparse.ArgumentParser,
                       required: bool = True) -> None:
     parser.add_argument("--objects", type=Path, required=required,
@@ -79,6 +94,27 @@ def _load_merged(args: argparse.Namespace) -> Database:
             print(f"note: {len(warnings)} data warnings "
                   f"(re-run with --warnings for details)", file=sys.stderr)
     return merge_equal_objects(db)
+
+
+def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  cache: str) -> None:
+    """Refuse, as a usage error, what the input mode would ignore or
+    lacks. Beside the graph cache option `cache`: a register option (the
+    parser refuses --method and --all). Without it: a missing register
+    file, or --baseline, which the register gives."""
+    if getattr(args, cache) is not None:
+        given = [f"--{name}" for name in ("objects", "relations",
+                                          "segments", "k")
+                 if getattr(args, name) is not None]
+        if given:
+            parser.error(f"{', '.join(given)} not allowed with --{cache}; "
+                         f"the cache holds an extracted graph")
+    elif args.objects is None or args.relations is None:
+        parser.error(f"--objects and --relations are needed without "
+                     f"--{cache}")
+    elif getattr(args, "baseline", None) is not None:
+        parser.error("--baseline applies to --graphs mode only; "
+                     "the register gives the baseline")
 
 
 def _method_from_args(code: str, args: argparse.Namespace,
@@ -212,6 +248,7 @@ def cmd_extract(args: argparse.Namespace,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
     full = build_full_graph(db)
+    baseline = full.property_count()
     # --all reports an empty variant as a zero row; a single method fails.
     run = extract_or_empty if args.all else extract
     graphs = [run(db, method, full) for method in methods]
@@ -221,7 +258,7 @@ def cmd_extract(args: argparse.Namespace,
     summaries: list[tuple[ConfrontGraph, GraphSummary]] = []
     if args.all:
         rows.append(_stats_row("full", _reuse(
-            summaries, full, lambda: summarize(full, db.property_baseline))))
+            summaries, full, lambda: summarize(full, baseline))))
     for method, g in zip(methods, graphs):
         atomic_write_bytes(args.out / f"{method.code}.{args.format}",
                            render(g, mhash))
@@ -229,7 +266,7 @@ def cmd_extract(args: argparse.Namespace,
                            cache_bytes(g, mhash))
         if args.all:
             summary = _reuse(summaries, g,
-                             lambda: summarize(g, db.property_baseline))
+                             lambda: summarize(g, baseline))
             rows.append(_stats_row(method.code, summary))
             components = summary.components
         else:
@@ -248,6 +285,7 @@ def cmd_stats(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
     if args.profile and args.out is None:
         parser.error("--profile requires --out")
+    _check_inputs(args, parser, "graphs")
     rows: list[list[str]] = []
     profiles: list[tuple[str, DistanceProfile]] = []
     empty: list[str] = []
@@ -293,23 +331,15 @@ def cmd_stats(args: argparse.Namespace,
         methods = [row[0] for row in rows]
         parameters: dict = {"baseline": args.baseline}
     else:
-        if args.objects is None or args.relations is None:
-            parser.error("either --graphs or --objects/--relations "
-                         "is required")
-        if args.baseline is not None:
-            parser.error("--baseline applies to --graphs mode only; "
-                         "the register gives the baseline")
         codes = list(METHOD_CODES) if args.all else [args.method]
-        if codes == [None]:
-            parser.error("either --method or --all is required with "
-                         "--objects/--relations")
         methods_ = [_method_from_args(code, args, parser) for code in codes]
         db = _load_merged(args)
         full = build_full_graph(db)
-        measure("full", full, db.property_baseline)
+        baseline = full.property_count()
+        measure("full", full, baseline)
         run = extract_or_empty if args.all else extract
         for method in methods_:
-            measure(method.code, run(db, method, full), db.property_baseline)
+            measure(method.code, run(db, method, full), baseline)
         methods = ["full"] + codes
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, methods, parameters)
@@ -341,10 +371,8 @@ def cmd_sweep(args: argparse.Namespace,
     base = ExtractionMethod.from_code(f"{args.base}_k",
                                       component_threshold=args.threshold)
     db = _load_merged(args)
-    if args.k_range is None:
-        k_values = list(default_k_range(db))
-    else:
-        k_values = _parse_range(args.k_range, parser)
+    k_values = (list(default_k_range(db)) if args.k_range is None
+                else args.k_range)
     points = sweep_k(db, base, k_values)
     manifest = build_manifest(
         "sweep", args, [f"{args.base}_k"],
@@ -366,28 +394,13 @@ def cmd_sweep(args: argparse.Namespace,
     return 0
 
 
-def _parse_range(text: str, parser: argparse.ArgumentParser) -> list[int]:
-    try:
-        low_s, high_s = text.split("..", 1)
-        low, high = int(low_s), int(high_s)
-    except ValueError:
-        parser.error(f"invalid --k-range {text!r} (expected A..B)")
-    if low < 0 or high < low:
-        parser.error(f"invalid --k-range {text!r} (need 0 <= A <= B)")
-    return list(range(low, high + 1))
-
-
 def cmd_communities(args: argparse.Namespace,
                     parser: argparse.ArgumentParser) -> int:
+    _check_inputs(args, parser, "graph")
     if args.graph is not None:
         g = read_cache(args.graph)
         methods = [g.method.code if g.method else "unknown"]
     else:
-        if args.objects is None or args.relations is None:
-            parser.error("either --graph or --objects/--relations "
-                         "is required")
-        if args.method is None:
-            parser.error("--method is required with --objects/--relations")
         method = _method_from_args(args.method, args, parser)
         db = _load_merged(args)
         g = extract(db, method)
@@ -396,8 +409,7 @@ def cmd_communities(args: argparse.Namespace,
         raise EmptyResult("cannot partition an empty graph")
     manifest = build_manifest(
         "communities", args, methods,
-        {"seed": args.seed, "k": getattr(args, "k", None),
-         "threshold": getattr(args, "threshold", None)})
+        {"seed": args.seed, "k": args.k, "threshold": args.threshold})
     mhash = manifest["manifest_hash"]
 
     partition = louvain(g, seed=args.seed)
@@ -488,13 +500,14 @@ def _build_parser() -> _Parser:
     p_stats = sub.add_parser("stats",
                              help="Table-style statistics CSV per method")
     _add_db_arguments(p_stats, required=False)
-    p_stats.add_argument("--graphs", type=Path, default=None,
-                         help=f"directory of *{CACHE_SUFFIX} files")
+    group = p_stats.add_mutually_exclusive_group(required=True)
+    group.add_argument("--graphs", type=Path, default=None,
+                       help=f"directory of *{CACHE_SUFFIX} files")
+    group.add_argument("--method", choices=METHOD_CODES, default=None)
+    group.add_argument("--all", action="store_true",
+                       help="compute all 16 methods inline")
     p_stats.add_argument("--baseline", type=_int_at_least(1), default=None,
                          help="coverage denominator for --graphs mode")
-    p_stats.add_argument("--method", choices=METHOD_CODES, default=None)
-    p_stats.add_argument("--all", action="store_true",
-                         help="compute all 16 methods inline")
     p_stats.add_argument("--k", type=_int_at_least(0), default=None)
     p_stats.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_stats.add_argument("--out", type=Path, default=None,
@@ -509,7 +522,8 @@ def _build_parser() -> _Parser:
     _add_db_arguments(p_sweep)
     p_sweep.add_argument("--base", choices=("RFW", "EFW", "RFS", "EFS"),
                          required=True, help="method family to sweep")
-    p_sweep.add_argument("--k-range", default=None, metavar="A..B",
+    p_sweep.add_argument("--k-range", type=_parse_range, default=None,
+                         metavar="A..B",
                          help="inclusive k range (default 0..10%% of streets)")
     p_sweep.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_sweep.add_argument("--out", type=Path, default=None,
@@ -520,9 +534,10 @@ def _build_parser() -> _Parser:
     p_comm = sub.add_parser("communities",
                             help="Louvain partition and community reports")
     _add_db_arguments(p_comm, required=False)
-    p_comm.add_argument("--graph", type=Path, default=None,
-                        help=f"graph cache file (*{CACHE_SUFFIX})")
-    p_comm.add_argument("--method", choices=METHOD_CODES, default=None)
+    group = p_comm.add_mutually_exclusive_group(required=True)
+    group.add_argument("--graph", type=Path, default=None,
+                       help=f"graph cache file (*{CACHE_SUFFIX})")
+    group.add_argument("--method", choices=METHOD_CODES, default=None)
     p_comm.add_argument("--k", type=_int_at_least(0), default=None)
     p_comm.add_argument("--threshold", type=_int_at_least(1), default=25)
     p_comm.add_argument("--seed", type=int, default=0,

@@ -20,7 +20,7 @@ from typing import Any
 
 from .errors import (ConfrontNetError, DanglingEndpoint, DuplicateId,
                      MalformedRecord, UnknownRawType)
-from .relation_types import EGAL, is_known_raw_type
+from .relation_types import is_known_raw_type
 
 
 class ObjectKind(Enum):
@@ -181,12 +181,12 @@ class Database:
     """Validated, immutable collection of objects and relations.
 
     Construct via from_parts() or load_database(); direct construction
-    skips cross-record validation.
+    skips cross-record validation. Records only: coverage's baseline is
+    the property count of the merged database's full graph.
     """
 
     objects: dict[str, SpatialObject]
     relations: tuple[RelationRecord, ...]
-    property_baseline: int
 
     @classmethod
     def from_parts(cls, objects: Iterable[SpatialObject],
@@ -195,14 +195,7 @@ class Database:
         rels: dict[str, RelationRecord] = {}
         for rel in relations:
             _add_relation(rel, index, rels)
-        return cls._of_checked(index, rels)
-
-    @classmethod
-    def _of_checked(cls, index: dict[str, SpatialObject],
-                    relations: dict[str, RelationRecord]) -> "Database":
-        """The database of records that passed the cross-record checks."""
-        rels = tuple(relations.values())
-        return cls(index, rels, _property_baseline(index, rels))
+        return cls(index, tuple(rels.values()))
 
 
 def _index_objects(
@@ -242,37 +235,6 @@ def _add_relation(rel: RelationRecord, index: Mapping[str, SpatialObject],
     relations[rel.id] = rel
 
 
-class _UnionFind:
-    """Union-find whose canonical representative is the smallest id."""
-
-    def __init__(self, ids: Iterable[str]) -> None:
-        self._parent = {i: i for i in ids}
-
-    def find(self, x: str) -> str:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[drop] = keep
-
-    def groups(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for i in self._parent:
-            out.setdefault(self.find(i), []).append(i)
-        for members in out.values():
-            members.sort()
-        return out
-
-
 def unique_by(records: Iterable[Any],
               key: Callable[[Any], Hashable]) -> list[Any]:
     """Collapse records with equal keys, first one wins.
@@ -290,31 +252,6 @@ def unique_by(records: Iterable[Any],
         elif out[at].target_segment is None and rec.target_segment is not None:
             out[at] = replace(out[at], target_segment=rec.target_segment)
     return out
-
-
-def _property_baseline(objects: Mapping[str, SpatialObject],
-                       relations: Iterable[RelationRecord]) -> int:
-    """Property count of the unfiltered full graph.
-
-    Equality-linked records collapse into one vertex, so incidence is
-    judged on canonical endpoints; relations collapsing to self-loops do
-    not make their object a vertex.
-    """
-    uf = _UnionFind(objects)
-    rels = list(relations)
-    for rel in rels:
-        if rel.raw_type == EGAL:
-            uf.union(rel.source_id, rel.target_id)
-    present: set[str] = set()
-    for rel in rels:
-        if rel.raw_type == EGAL or rel.origin is not RelationOrigin.PRIMARY:
-            continue
-        a, b = uf.find(rel.source_id), uf.find(rel.target_id)
-        if a != b:
-            present.add(a)
-            present.add(b)
-    return sum(1 for root in present
-               if objects[root].kind is ObjectKind.PROPERTY)
 
 
 # --- file I/O -------------------------------------------------------------
@@ -497,7 +434,7 @@ def load_database(objects_path: str | Path, relations_path: str | Path,
                                    row["origin"] or "Primary"),
                 target_segment=row["target_segment"] or None),
                 index, relations)
-    return Database._of_checked(index, relations)
+    return Database(index, tuple(relations.values()))
 
 
 def _json_records(path: Path, kind: str) -> Iterator[dict]:
@@ -578,7 +515,7 @@ def _load_json(objects_path: Path, relations_path: Path) -> Database:
     with _located(relations_path):
         for rec in _json_records(relations_path, "relation"):
             _add_relation(_json_relation(rec), index, relations)
-    return Database._of_checked(index, relations)
+    return Database(index, tuple(relations.values()))
 
 
 def validate_database(db: Database) -> list[str]:

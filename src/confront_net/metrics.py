@@ -485,6 +485,9 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     """The full statistic row for one graph, from one hop pass (`pairs`,
     when given, is the graph's `pair_distances` result, reused as is).
 
+    `baseline`, the coverage denominator, is the property count of the
+    register's full graph; without one, coverage reads 0.
+
     Degenerate cases collapse to zeros: a graph with no finite pair has
     d_max 0, fewer than two vertices give d_harm 0, fewer than two
     located vertices give rho_d NaN.

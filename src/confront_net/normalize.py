@@ -8,11 +8,11 @@ unifying the records they declare equal into one canonical object.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import replace
 
 from .data_model import (Database, Dimensionality, ObjectKind,
-                         RelationRecord, SpatialObject, _UnionFind,
-                         unique_by)
+                         RelationRecord, SpatialObject, unique_by)
 from .errors import ConflictingMerge
 from .relation_types import (EGAL, NORMALIZATION_TABLE, NormalizedType,
                              normalize_raw)
@@ -29,6 +29,37 @@ def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:
         raw,
         target_is_street=target.kind is ObjectKind.STREET,
         target_is_surface=target.dim is Dimensionality.SURFACE)
+
+
+class _UnionFind:
+    """Union-find whose canonical representative is the smallest id."""
+
+    def __init__(self, ids: Iterable[str]) -> None:
+        self._parent = {i: i for i in ids}
+
+    def find(self, x: str) -> str:
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        keep, drop = (ra, rb) if ra < rb else (rb, ra)
+        self._parent[drop] = keep
+
+    def groups(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for i in self._parent:
+            out.setdefault(self.find(i), []).append(i)
+        for members in out.values():
+            members.sort()
+        return out
 
 
 _FILLABLE = ("coord", "length_m", "parish", "inside_old_walls")
@@ -101,11 +132,9 @@ def merge_equal_objects(db: Database) -> Database:
                           target_segment=segment)
         relations.append(rel)
     # The records passed the cross-record checks, and merging keeps kinds
-    # and re-resolves bindings; the baseline, judged on canonical
-    # endpoints, stays too.
+    # and re-resolves bindings.
     return Database(merged, tuple(unique_by(
-        relations, lambda r: (r.source_id, r.target_id, r.raw_type))),
-        db.property_baseline)
+        relations, lambda r: (r.source_id, r.target_id, r.raw_type))))
 
 
 def normalization_rows() -> list[dict[str, str]]:

@@ -42,12 +42,13 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
     if len(set(k_values)) != len(k_values):
         raise MalformedRecord("duplicate k in sweep range")
     full = build_full_graph(db)
+    baseline = full.property_count()
     points = []
     for k in k_values:
         # A k that leaves no component is an empty point (coverage 0, NaN
         # rho), which dominates no other point.
         g = extract_or_empty(db, replace(base_method, k=k), full)
-        summary = summarize(g, db.property_baseline)
+        summary = summarize(g, baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))
     return points

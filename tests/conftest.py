@@ -1,12 +1,13 @@
 """Shared builders: quick graphs, quick databases, and the randomized
-synthetic database generator used by the pipeline invariant suite; and
-the per-statistic views of a graph's hops that the oracles compare
-against."""
+synthetic database generator used by the pipeline invariant suite; the
+per-statistic views of a graph's hops that the oracles compare against;
+and the coverage baseline of a register."""
 
 from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 
@@ -14,8 +15,29 @@ from confront_net import metrics
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
+from confront_net.extract import build_full_graph
 from confront_net.graph import ConfrontGraph, Edge, EdgeOrigin, Vertex
+from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
+
+# On a failing example, hypothesis' pytest plugin imports its patch
+# writer; under -W error the DeprecationWarning of that import (libcst's
+# use of mypy_extensions.TypedDict) turns into a pytest INTERNALERROR that
+# hides the falsifying example. Importing it once here, with that warning
+# ignored, keeps the report. An ini filterwarnings entry cannot: -W error
+# on the command line overrides it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
+
+def property_baseline(db: Database) -> int:
+    """The coverage denominator: the property count of the full graph of
+    the merged register, as the commands compute it."""
+    return build_full_graph(merge_equal_objects(db)).property_count()
 
 
 def make_vertex(vid: str, coord=None, kind=ObjectKind.PROPERTY,

@@ -107,7 +107,7 @@ def test_criterion_1_dataset_reproduction():
         assert elapsed < 60.0, f"16 extractions took {elapsed:.1f}s"
         for label, row in REFERENCE_ROWS.items():
             n, m, delta, props, coverage, comps, d_max, d_harm, rho = row
-            s = summarize(graphs[label], db.property_baseline)
+            s = summarize(graphs[label], graphs["Full"].property_count())
             assert s.n == n, f"{label}: n={s.n}, want {n}"
             assert s.m == m, f"{label}: m={s.m}, want {m}"
             assert s.delta == pytest.approx(delta, abs=1e-4), label

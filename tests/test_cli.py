@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import elementtree_oracle as oracle
-from conftest import make_graph, synthetic_database
+from conftest import make_graph, property_baseline, synthetic_database
 from register_writer import save_database
-from confront_net import cli
+from confront_net import cli, normalize
 from confront_net.cli import CACHE_SUFFIX, main
 from confront_net.extract import METHOD_CODES
 from confront_net.graph import ConfrontGraph
@@ -182,6 +182,20 @@ def test_extract_all_reruns_byte_identically(capsys, db_files, tmp_path):
             assert path.read_bytes() == twin.read_bytes(), path.name
 
 
+def test_extract_all_coverage_is_over_the_full_graph(capsys, db_files,
+                                                     tmp_path):
+    """Each row's coverage is its property count over the full graph's,
+    the full row's own included."""
+    assert extract_all(capsys, db_files, tmp_path)[0] == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "stats.csv").read_text().splitlines()[2:]]
+    assert rows[0][0] == "full" and rows[0][5] == "100.00"
+    baseline = int(rows[0][4])
+    assert baseline == property_baseline(db_files["db"])
+    for row in rows[1:]:
+        assert row[5] == f"{100.0 * (int(row[4]) / baseline):.2f}", row[0]
+
+
 @pytest.fixture(scope="module")
 def avignon_shaped_files(tmp_path_factory):
     """The benchmark's generated register at its smallest scale, where
@@ -248,7 +262,7 @@ def test_stats_all_profiles_equal_variants_once(
 def test_stats_from_cached_graphs(capsys, db_files, tmp_path):
     graphs = tmp_path / "graphs"
     assert extract_all(capsys, db_files, graphs)[0] == 0
-    baseline = db_files["db"].property_baseline
+    baseline = property_baseline(db_files["db"])
     code, out, _ = run(capsys, "stats", "--graphs", str(graphs),
                        "--baseline", str(baseline))
     assert code == 0
@@ -401,7 +415,7 @@ def test_extract_all_reports_an_empty_variant_as_a_zero_row(
     for method in METHOD_CODES:
         assert (tmp_path / f"{method}.graphml").exists()
     assert read_cache(tmp_path / f"RFW_k{CACHE_SUFFIX}").n == 0
-    baseline = synthetic_database(22).property_baseline
+    baseline = property_baseline(synthetic_database(22))
     code, out, _ = run(capsys, "stats", "--graphs", str(tmp_path),
                        "--baseline", str(baseline))
     assert code == 0
@@ -445,13 +459,16 @@ def full_builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv", [
+MEASURING_COMMANDS = [
     ("extract", "--all", "--k", "1", "--out", "{out}"),
     ("stats", "--all", "--k", "1"),
     ("stats", "--method", "EFS_k", "--k", "1", "--out", "{out}/s.csv",
      "--profile"),
     ("sweep", "--base", "EFS", "--k-range", "0..3"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", MEASURING_COMMANDS)
 def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
                                                  full_builds, argv):
     argv = [a.format(out=tmp_path) for a in argv]
@@ -459,6 +476,33 @@ def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
                      "--threshold", "4")
     assert code == 0
     assert len(full_builds) == 1
+
+
+@pytest.fixture
+def union_finds(monkeypatch):
+    """Count `_UnionFind` constructions, wherever the class is bound."""
+    calls = []
+    original = normalize._UnionFind.__init__
+
+    def counted(self, ids):
+        calls.append(ids)
+        original(self, ids)
+
+    monkeypatch.setattr(normalize._UnionFind, "__init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", MEASURING_COMMANDS)
+def test_each_command_groups_equal_records_once(capsys, db_files, tmp_path,
+                                                union_finds, argv):
+    """The Egal merge is the one union-find of a command: the coverage
+    baseline comes from the full graph, not from a second grouping."""
+    assert any(r.raw_type == "Egal" for r in db_files["db"].relations)
+    argv = [a.format(out=tmp_path) for a in argv]
+    code, _, _ = run(capsys, argv[0], *db_files["argv"], *argv[1:],
+                     "--threshold", "4")
+    assert code == 0
+    assert len(union_finds) == 1
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -511,11 +555,48 @@ def test_baseline_is_refused_outside_graphs_mode(capsys, db_files, tmp_path,
 
 
 @pytest.mark.parametrize("bad", ["2..1", "x..y", "-1..2", "3"])
-def test_sweep_rejects_bad_ranges(capsys, db_files, bad):
-    code, _, err = run(capsys, "sweep", *db_files["argv"],
-                       "--base", "RFS", "--k-range", bad, "--threshold", "4")
+def test_sweep_rejects_bad_ranges(capsys, db_files, tmp_path, bad):
+    # A missing register changes nothing: the range is refused before any
+    # input is read.
+    missing = ["--objects", str(tmp_path / "objects.csv"),
+               "--relations", str(tmp_path / "relations.csv")]
+    for register in (db_files["argv"], missing):
+        code, _, err = run(capsys, "sweep", *register, "--base", "RFS",
+                           "--k-range", bad, "--threshold", "4")
+        assert code == 1
+        assert "argument --k-range: " in err
+
+
+def beside_a_cache():
+    """(argv, the two options refused together) for each register or
+    extraction option given beside a graph cache, which holds an
+    extracted graph already."""
+    options = [("--objects", "o.csv"), ("--relations", "r.csv"),
+               ("--segments", "s.csv"), ("--method", "EFS_k"), ("--k", "0")]
+    for command, cache, extra in (("stats", "--graphs", [("--all",)]),
+                                  ("communities", "--graph", [])):
+        for option in options + extra:
+            yield pytest.param((command, cache, "{missing}", *option),
+                               (option[0], cache), id=f"{command}{option[0]}")
+
+
+@pytest.mark.parametrize("argv,clash", [
+    *beside_a_cache(),
+    pytest.param(("stats", "--objects", "o.csv", "--relations", "r.csv",
+                  "--all", "--method", "EFS_all"), ("--method", "--all"),
+                 id="stats--all--method"),
+])
+def test_options_a_mode_would_ignore_are_usage_errors(capsys, tmp_path, argv,
+                                                      clash):
+    # Nothing exists to read: each option is refused before any input is.
+    argv = [a.format(missing=tmp_path / f"missing{CACHE_SUFFIX}")
+            for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 1
-    assert "--k-range" in err
+    error = err.splitlines()[-1]
+    assert "error: " in error and all(option in error for option in clash)
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_communities_from_cache(capsys, db_files, tmp_path):

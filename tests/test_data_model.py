@@ -1,12 +1,13 @@
-"""Record validation, file round-trips, the property baseline and the
-non-fatal warning pass."""
+"""Record validation, file round-trips, the property baseline (the
+property count of the merged register's full graph) and the non-fatal
+warning pass."""
 
 import json
 import math
 
 import pytest
 
-from conftest import synthetic_database
+from conftest import property_baseline, synthetic_database
 from register_writer import save_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
@@ -129,7 +130,7 @@ def db_parts():
 def test_from_parts_builds_and_counts_baseline():
     db = Database.from_parts(*db_parts())
     assert list(db.objects) == ["p1", "p2", "par1", "st1", "ed1"]
-    assert db.property_baseline == 2
+    assert property_baseline(db) == 2
 
 
 def test_duplicate_object_id_rejected():
@@ -190,7 +191,7 @@ def test_baseline_ignores_isolates_and_additional_only_objects():
          RelationRecord("r2", "st1", "st2", "Juxta",
                         origin=RelationOrigin.ADDITIONAL)])
     # p3 is isolated; streets touch only additional data.
-    assert db.property_baseline == 2
+    assert property_baseline(db) == 2
 
 
 def test_baseline_counts_merged_groups_once():
@@ -198,7 +199,7 @@ def test_baseline_counts_merged_groups_once():
         [obj("p1"), obj("p2"), obj("p3")],
         [RelationRecord("r1", "p1", "p2", "Egal"),
          RelationRecord("r2", "p2", "p3", "Juxta")])
-    assert db.property_baseline == 2
+    assert property_baseline(db) == 2
 
 
 def test_baseline_ignores_relations_collapsing_to_self_loops():
@@ -206,7 +207,7 @@ def test_baseline_ignores_relations_collapsing_to_self_loops():
         [obj("p1"), obj("p2")],
         [RelationRecord("r1", "p1", "p2", "Egal"),
          RelationRecord("r2", "p1", "p2", "Juxta")])
-    assert db.property_baseline == 0
+    assert property_baseline(db) == 0
 
 
 # --- file round-trips -----------------------------------------------------

@@ -2,12 +2,13 @@
 
 `golden_rule_digests.json` holds, per synthetic database seed, the sha256
 of a full dump of `merge_equal_objects`: the objects in order with every
-field, the relations in order, and the property baseline. It does so for
-the database as generated and for an Egal-heavy variant whose extra
-equalities build larger groups, fill gaps from several members and drop
-segment bindings. A last digest covers the front's order and the selected
-k on seeded random point sets with NaN correlations and ties. The digests
-were recorded before the merge and the front were rewritten as their
+field, the relations in order, and the property baseline (the property
+count of the merged database's full graph). It does so for the database
+as generated and for an Egal-heavy variant whose extra equalities build
+larger groups, fill gaps from several members and drop segment bindings.
+A last digest covers the front's order and the selected k on seeded
+random point sets with NaN correlations and ties. The digests were
+recorded before the merge and the front were rewritten as their
 definitions; the oracle tests elsewhere compare sets, these pin order.
 """
 
@@ -21,6 +22,7 @@ import pytest
 
 from conftest import egal_heavy, synthetic_database
 from confront_net.data_model import Database
+from confront_net.extract import build_full_graph
 from confront_net.normalize import merge_equal_objects
 from confront_net.sweep import SweepPoint, pareto_front, select_best
 
@@ -33,7 +35,8 @@ def sha256(value) -> str:
 
 
 def dump(db: Database):
-    return list(db.objects.items()), db.relations, db.property_baseline
+    return (list(db.objects.items()), db.relations,
+            build_full_graph(db).property_count())
 
 
 @pytest.mark.parametrize("seed", range(64))

@@ -35,8 +35,9 @@ from scipy.stats import rankdata
 import rank_oracle as argsort_oracle
 
 from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
-                      hop_matrix, make_graph, make_vertex, random_graph,
-                      spearman_distance_correlation, synthetic_database)
+                      hop_matrix, make_graph, make_vertex, property_baseline,
+                      random_graph, spearman_distance_correlation,
+                      synthetic_database)
 from register_writer import save_database
 from confront_net import cli, metrics
 from confront_net.errors import InsufficientCoordinates, NoFinitePairs
@@ -814,7 +815,7 @@ def test_extract_single_method_makes_no_hop_pass(hop_passes, tmp_path,
     assert code == 0
     assert hop_passes == []  # only --all writes the statistics
     g = read_cache(tmp_path / "out" / f"EFS_k{cli.CACHE_SUFFIX}")
-    s = summarize(g, db.property_baseline)
+    s = summarize(g, property_baseline(db))
     assert out == f"EFS_k: n={s.n} m={s.m} components={s.components}\n"
 
 

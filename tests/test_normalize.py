@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import egal_heavy, synthetic_database
+from conftest import egal_heavy, property_baseline, synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
@@ -330,7 +330,7 @@ def test_merge_equals_from_parts_of_its_own_records(seed):
                                       merged.relations)
         assert merged == rebuilt
         assert list(merged.objects) == list(rebuilt.objects)
-        assert merged.property_baseline == db.property_baseline
+        assert property_baseline(merged) == property_baseline(db)
 
 
 def test_merge_preserves_property_baseline_semantics():
@@ -341,4 +341,4 @@ def test_merge_preserves_property_baseline_semantics():
         [rel("r1", "A", "S", "Juxta"), rel("r2", "B", "S", "Juxta"),
          rel("r3", "A", "B"), rel("r4", "C", "S", "Juxta")])
     merged = merge_equal_objects(db)
-    assert db.property_baseline == merged.property_baseline == 2
+    assert property_baseline(db) == property_baseline(merged) == 2

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import synthetic_database
+from conftest import property_baseline, synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationRecord, SpatialObject)
 from confront_net.errors import MalformedRecord
@@ -130,7 +130,7 @@ def test_sweep_records_a_k_that_empties_the_graph(seed):
     db = merge_equal_objects(synthetic_database(seed))
     points = sweep_k(db, ExtractionMethod.from_code("RFW_k"), range(6))
     assert [p.k for p in points] == list(range(6))
-    empty = summarize(ConfrontGraph([], []), db.property_baseline)
+    empty = summarize(ConfrontGraph([], []), property_baseline(db))
     emptied = [p for p in points if p.summary.n == 0]
     assert emptied and emptied[-1].k == 5
     for p in emptied:
