@@ -431,6 +431,54 @@ def test_stats_all_reports_an_empty_variant_as_a_zero_row(
                             for line in out.splitlines()[1:]], err)
 
 
+NOTE = "note: 15 data warnings (re-run with --warnings for details)\n"
+EMPTY = ("warning: graph 'RFW_k' is empty; reporting zeros\n"
+         "warning: graph 'EFW_k' is empty; reporting zeros\n")
+UNLOCATED = ("warning: graph 'RFW_k' has fewer than 2 located vertices; "
+             "no profile written\n"
+             "warning: graph 'EFW_k' has fewer than 2 located vertices; "
+             "no profile written\n")
+VARIANT_LINES = [
+    "RHW_all: n=39 m=67 components=1", "RFW_all: n=33 m=47 components=1",
+    "RFW_streets: n=33 m=47 components=1", "RFW_k: n=0 m=0 components=0",
+    "EHW_all: n=39 m=71 components=1", "EFW_all: n=33 m=51 components=1",
+    "EFW_streets: n=33 m=51 components=1", "EFW_k: n=0 m=0 components=0",
+    "RHS_all: n=34 m=48 components=1", "RFS_all: n=34 m=48 components=1",
+    "RFS_streets: n=34 m=48 components=1", "RFS_k: n=34 m=48 components=1",
+    "EHS_all: n=34 m=52 components=1", "EFS_all: n=34 m=52 components=1",
+    "EFS_streets: n=34 m=52 components=1", "EFS_k: n=34 m=52 components=1"]
+
+
+def variant_lines(warn_empty):
+    """The line `extract --all` prints for each variant, each empty one
+    followed by its warning when `warn_empty`."""
+    return "".join(
+        f"{line}\n" + (f"warning: graph {line.split(':')[0]!r} is empty; "
+                       f"reporting zeros\n"
+                       if warn_empty and " n=0 " in line else "")
+        for line in VARIANT_LINES)
+
+
+@pytest.mark.parametrize("argv,out,err,merged", [
+    (("extract", "--out", "{out}"), variant_lines(False), NOTE + EMPTY,
+     NOTE + variant_lines(True)),
+    (("stats", "--profile", "--out", "{out}/stats.csv"), "",
+     NOTE + UNLOCATED + EMPTY, NOTE + UNLOCATED + EMPTY),
+])
+def test_all_variants_print_exact_lines_in_order(
+        capsys, monkeypatch, degenerate_files, tmp_path, argv, out, err,
+        merged):
+    """The text and order of what `extract --all` and `stats --all
+    --profile` print, each stream alone and both in one."""
+    def printed(out_dir):
+        return run(capsys, argv[0], *degenerate_files, "--all", "--k", "4",
+                   *[a.format(out=out_dir) for a in argv[1:]])
+
+    assert printed(tmp_path / "apart") == (0, out, err)
+    monkeypatch.setattr(sys, "stderr", sys.stdout)
+    assert printed(tmp_path / "merged") == (0, merged, "")
+
+
 @pytest.mark.parametrize("command", ["extract", "communities"])
 def test_single_empty_method_is_a_data_error(capsys, degenerate_files,
                                              tmp_path, command):
