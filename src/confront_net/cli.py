@@ -16,17 +16,19 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
 from .errors import (ConfrontNetError, EmptyResult, InsufficientCoordinates,
                      MalformedRecord)
-from .extract import (METHOD_CODES, ExtractionMethod, Scope, build_full_graph,
-                      extract, extract_or_empty)
+from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
+                      ExtractionMethod, Scope, build_full_graph, extract,
+                      extract_or_empty)
 from .graph import ConfrontGraph
 from .metrics import (DistanceProfile, GraphSummary, distance_profile,
                       pair_distances, summarize)
@@ -37,7 +39,6 @@ from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
 from .sweep import default_k_range, select_best, sweep_k
 
 CACHE_SUFFIX = ".graph.json.gz"
-_Result = TypeVar("_Result")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,13 +100,16 @@ def _load_merged(args: argparse.Namespace) -> Database:
 def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   cache: str) -> None:
     """Refuse, as a usage error, what the input mode would ignore or
-    lacks. Beside the graph cache option `cache`: a register option (the
-    parser refuses --method and --all). Without it: a missing register
-    file, or --baseline, which the register gives."""
+    lacks, then give --threshold its default. Beside the graph cache
+    option `cache`: a register or extraction option (the parser refuses
+    --method and --all). Without it: a missing register file, or
+    --baseline, which the register gives."""
     if getattr(args, cache) is not None:
         given = [f"--{name}" for name in ("objects", "relations",
-                                          "segments", "k")
+                                          "segments", "k", "threshold")
                  if getattr(args, name) is not None]
+        if args.warnings:
+            given.append("--warnings")
         if given:
             parser.error(f"{', '.join(given)} not allowed with --{cache}; "
                          f"the cache holds an extracted graph")
@@ -115,16 +119,28 @@ def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
     elif getattr(args, "baseline", None) is not None:
         parser.error("--baseline applies to --graphs mode only; "
                      "the register gives the baseline")
+    if args.threshold is None:
+        args.threshold = DEFAULT_COMPONENT_THRESHOLD
 
 
-def _method_from_args(code: str, args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> ExtractionMethod:
-    method = ExtractionMethod.from_code(
-        code, k=args.k if args.k is not None else 0,
-        component_threshold=args.threshold)
-    if method.scope is Scope.TOP_K and args.k is None:
-        parser.error(f"--k is required for method {code}")
-    return method
+def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
+                 ) -> tuple[list[str], ConfrontGraph, Iterator[ConfrontGraph]]:
+    """The method codes asked for, the register's full graph, and the
+    variants extracted from it, lazily, in code order. Under --all a
+    variant that keeps no component is the empty graph; a single
+    --method fails on it."""
+    every = getattr(args, "all", False)
+    codes = list(METHOD_CODES) if every else [args.method]
+    methods = [ExtractionMethod.from_code(
+        code, k=args.k or 0, component_threshold=args.threshold)
+        for code in codes]
+    for method in methods:
+        if method.scope is Scope.TOP_K and args.k is None:
+            parser.error(f"--k is required for method {method.code}")
+    db = _load_merged(args)
+    full = build_full_graph(db)
+    run = extract_or_empty if every else extract
+    return codes, full, (run(db, method, full) for method in methods)
 
 
 def _input_manifest(args: argparse.Namespace) -> dict[str, str]:
@@ -223,60 +239,72 @@ def _warn_empty(label: str) -> None:
           file=sys.stderr)
 
 
-def _reuse(earlier: list[tuple[ConfrontGraph, _Result]], g: ConfrontGraph,
-           compute: Callable[[], _Result]) -> _Result:
-    """The result kept for an earlier graph of the command that equals
-    `g` with its vertices in the same order (a profile sums its metres in
-    pair order), else `compute()`, kept for the graphs that follow."""
-    for seen, result in earlier:
-        if seen == g and seen.vertex_ids() == g.vertex_ids():
-            return result
-    result = compute()
-    earlier.append((g, result))
-    return result
+def _row_and_profile(
+        g: ConfrontGraph, baseline: int | None, profile: bool
+) -> tuple[GraphSummary, DistanceProfile | None]:
+    """One graph's row and, with `profile`, its distance profile (None
+    with fewer than 2 located vertices). One hop pass feeds both; its
+    pairs go when this returns, before the next graph's."""
+    if not profile:
+        return summarize(g, baseline), None
+    pairs = pair_distances(g)
+    summary = summarize(g, baseline, pairs)
+    try:
+        return summary, distance_profile(g, pairs)
+    except InsufficientCoordinates:
+        return summary, None
+
+
+def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
+             profile: bool
+             ) -> list[tuple[GraphSummary, DistanceProfile | None]]:
+    """`_row_and_profile` of each graph, taken one at a time. A graph
+    equal to an earlier one with its vertices in the same order (a
+    profile sums its metres in pair order) takes over that one's
+    result."""
+    done: list[tuple[ConfrontGraph, tuple[GraphSummary,
+                                          DistanceProfile | None]]] = []
+    results = []
+    for g in graphs:
+        for seen, result in done:
+            if seen == g and seen.vertex_ids() == g.vertex_ids():
+                break
+        else:
+            result = _row_and_profile(g, baseline, profile)
+            done.append((g, result))
+        results.append(result)
+    return results
 
 
 # --- subcommands ----------------------------------------------------------
 
 def cmd_extract(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
-    codes = list(METHOD_CODES) if args.all else [args.method]
-    methods = [_method_from_args(code, args, parser) for code in codes]
-    db = _load_merged(args)
+    codes, full, variants = _extractions(args, parser)
+    # Every variant before the first file: a data error writes none.
+    graphs = list(variants)
     manifest = build_manifest(
         "extract", args, codes,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
-    full = build_full_graph(db)
-    baseline = full.property_count()
-    # --all reports an empty variant as a zero row; a single method fails.
-    run = extract_or_empty if args.all else extract
-    graphs = [run(db, method, full) for method in methods]
-
-    render = graphml_bytes if args.format == "graphml" else gexf_bytes
-    rows = []
-    summaries: list[tuple[ConfrontGraph, GraphSummary]] = []
     if args.all:
-        rows.append(_stats_row("full", _reuse(
-            summaries, full, lambda: summarize(full, baseline))))
-    for method, g in zip(methods, graphs):
-        atomic_write_bytes(args.out / f"{method.code}.{args.format}",
-                           render(g, mhash))
-        atomic_write_bytes(args.out / f"{method.code}{CACHE_SUFFIX}",
-                           cache_bytes(g, mhash))
-        if args.all:
-            summary = _reuse(summaries, g,
-                             lambda: summarize(g, baseline))
-            rows.append(_stats_row(method.code, summary))
-            components = summary.components
-        else:
-            components = len(g.components())
-        print(f"{method.code}: n={g.n} m={g.m} components={components}")
-        if g.n == 0:
-            _warn_empty(method.code)
-    if args.all:
+        summaries = [summary for summary, _ in _measure(
+            [full, *graphs], full.property_count(), False)]
+        rows = [_stats_row(label, summary)
+                for label, summary in zip(["full", *codes], summaries)]
         atomic_write_bytes(args.out / "stats.csv",
                            _render_csv(STATS_COLUMNS, rows, mhash))
+    render = graphml_bytes if args.format == "graphml" else gexf_bytes
+    for i, (code, g) in enumerate(zip(codes, graphs), 1):
+        atomic_write_bytes(args.out / f"{code}.{args.format}",
+                           render(g, mhash))
+        atomic_write_bytes(args.out / f"{code}{CACHE_SUFFIX}",
+                           cache_bytes(g, mhash))
+        components = (summaries[i].components if args.all
+                      else len(g.components()))
+        print(f"{code}: n={g.n} m={g.m} components={components}")
+        if g.n == 0:
+            _warn_empty(code)
     _write_manifest(manifest, args.out / "manifest.json")
     return 0
 
@@ -286,83 +314,48 @@ def cmd_stats(args: argparse.Namespace,
     if args.profile and args.out is None:
         parser.error("--profile requires --out")
     _check_inputs(args, parser, "graphs")
-    rows: list[list[str]] = []
-    profiles: list[tuple[str, DistanceProfile]] = []
-    empty: list[str] = []
-    measured: list[tuple[ConfrontGraph,
-                         tuple[GraphSummary, DistanceProfile | None]]] = []
-
-    def row_and_profile(
-            g: ConfrontGraph, baseline: int | None
-    ) -> tuple[GraphSummary, DistanceProfile | None]:
-        # One hop pass feeds both the row and the profile; only the small
-        # profile outlives this graph's pairs.
-        pairs = pair_distances(g)
-        summary = summarize(g, baseline, pairs)
-        profile = None
-        if args.profile:
-            try:
-                profile = distance_profile(g, pairs)
-            except InsufficientCoordinates:
-                pass
-        return summary, profile
-
-    def measure(label: str, g: ConfrontGraph, baseline: int | None) -> None:
-        summary, profile = _reuse(measured, g,
-                                  lambda: row_and_profile(g, baseline))
-        rows.append(_stats_row(label, summary))
-        if args.profile:
-            if profile is None:
-                print(f"warning: graph {label!r} has fewer than 2 located "
-                      f"vertices; no profile written", file=sys.stderr)
-            else:
-                profiles.append((label, profile))
-        if g.n == 0:
-            empty.append(label)
-
     if args.graphs is not None:
         caches = sorted(args.graphs.glob(f"*{CACHE_SUFFIX}"))
         if not caches:
             raise MalformedRecord(
                 f"no {CACHE_SUFFIX} files in {args.graphs}")
-        for path in caches:
-            measure(path.name[:-len(CACHE_SUFFIX)], read_cache(path),
-                    args.baseline)
-        methods = [row[0] for row in rows]
+        labels = [path.name[:-len(CACHE_SUFFIX)] for path in caches]
+        measured = _measure((read_cache(path) for path in caches),
+                            args.baseline, args.profile)
         parameters: dict = {"baseline": args.baseline}
     else:
-        codes = list(METHOD_CODES) if args.all else [args.method]
-        methods_ = [_method_from_args(code, args, parser) for code in codes]
-        db = _load_merged(args)
-        full = build_full_graph(db)
-        baseline = full.property_count()
-        measure("full", full, baseline)
-        run = extract_or_empty if args.all else extract
-        for method in methods_:
-            measure(method.code, run(db, method, full), baseline)
-        methods = ["full"] + codes
+        codes, full, variants = _extractions(args, parser)
+        labels = ["full", *codes]
+        measured = _measure(chain([full], variants), full.property_count(),
+                            args.profile)
         parameters = {"k": args.k, "threshold": args.threshold}
-    manifest = build_manifest("stats", args, methods, parameters)
+    manifest = build_manifest("stats", args, labels, parameters)
     mhash = manifest["manifest_hash"]
-    for label in empty:
-        _warn_empty(label)
+    if args.profile:
+        for label, (_, profile) in zip(labels, measured):
+            if profile is None:
+                print(f"warning: graph {label!r} has fewer than 2 located "
+                      f"vertices; no profile written", file=sys.stderr)
+    for label, (summary, _) in zip(labels, measured):
+        if summary.n == 0:
+            _warn_empty(label)
+    rows = [_stats_row(label, summary)
+            for label, (summary, _) in zip(labels, measured)]
     _emit(_render_csv(STATS_COLUMNS, rows,
                       mhash if args.out is not None else None), args.out)
     if args.out is not None:
         _write_manifest(manifest,
                         args.out.with_name(args.out.name + ".manifest.json"))
-    for label, profile in profiles:
-        profile_rows = []
-        for b in profile.buckets:
-            h = "inf" if math.isinf(b.graph_distance) else (
-                str(int(b.graph_distance)))
-            profile_rows.append([h, str(b.count),
-                                 _fmt_float(b.mean_spatial, 3),
-                                 _fmt_float(b.std_spatial, 3)])
-        atomic_write_bytes(
-            args.out.parent / f"profile_{label}.csv",
-            _render_csv(("graph_distance", "pairs", "mean_spatial_m",
-                         "std_spatial_m"), profile_rows, mhash))
+    for label, (_, profile) in zip(labels, measured):
+        if profile is not None:  # graph_distance: a whole number or inf
+            atomic_write_bytes(
+                args.out.parent / f"profile_{label}.csv",
+                _render_csv(("graph_distance", "pairs", "mean_spatial_m",
+                             "std_spatial_m"),
+                            [[_fmt_float(b.graph_distance, 0), str(b.count),
+                              _fmt_float(b.mean_spatial, 3),
+                              _fmt_float(b.std_spatial, 3)]
+                             for b in profile.buckets], mhash))
     return 0
 
 
@@ -401,10 +394,8 @@ def cmd_communities(args: argparse.Namespace,
         g = read_cache(args.graph)
         methods = [g.method.code if g.method else "unknown"]
     else:
-        method = _method_from_args(args.method, args, parser)
-        db = _load_merged(args)
-        g = extract(db, method)
-        methods = [method.code]
+        methods, _, variants = _extractions(args, parser)
+        (g,) = variants
     if g.n == 0:
         raise EmptyResult("cannot partition an empty graph")
     manifest = build_manifest(
@@ -509,7 +500,7 @@ def _build_parser() -> _Parser:
     p_stats.add_argument("--baseline", type=_int_at_least(1), default=None,
                          help="coverage denominator for --graphs mode")
     p_stats.add_argument("--k", type=_int_at_least(0), default=None)
-    p_stats.add_argument("--threshold", type=_int_at_least(1), default=25)
+    p_stats.add_argument("--threshold", type=_int_at_least(1), default=None)
     p_stats.add_argument("--out", type=Path, default=None,
                          help="output CSV (default stdout)")
     p_stats.add_argument("--profile", action="store_true",
@@ -539,7 +530,7 @@ def _build_parser() -> _Parser:
                        help=f"graph cache file (*{CACHE_SUFFIX})")
     group.add_argument("--method", choices=METHOD_CODES, default=None)
     p_comm.add_argument("--k", type=_int_at_least(0), default=None)
-    p_comm.add_argument("--threshold", type=_int_at_least(1), default=25)
+    p_comm.add_argument("--threshold", type=_int_at_least(1), default=None)
     p_comm.add_argument("--seed", type=int, default=0,
                         help="Louvain shuffle seed (default 0)")
     p_comm.add_argument("--out", type=Path, required=True,

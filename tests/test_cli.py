@@ -223,6 +223,14 @@ def counted(monkeypatch, name):
     return calls
 
 
+def measure_each(monkeypatch):
+    """Make `cli._measure` measure every graph on its own, reusing no
+    earlier result."""
+    real = cli._measure
+    monkeypatch.setattr(cli, "_measure", lambda graphs, baseline, profile: [
+        result for g in graphs for result in real([g], baseline, profile)])
+
+
 def test_extract_all_summarizes_equal_variants_once(
         capsys, monkeypatch, avignon_shaped_files, tmp_path):
     """`extract --all` summarizes 15 of its 17 graphs and reuses the rows
@@ -232,7 +240,7 @@ def test_extract_all_summarizes_equal_variants_once(
     argv = ["extract", *avignon_shaped_files, "--all", "--k", "7", "--out"]
     assert run(capsys, *argv, str(tmp_path / "reused"))[0] == 0
     assert len(calls) == 15
-    monkeypatch.setattr(cli, "_reuse", lambda earlier, g, compute: compute())
+    measure_each(monkeypatch)
     assert run(capsys, *argv, str(tmp_path / "each"))[0] == 0
     assert len(calls) == 15 + 17
     assert ((tmp_path / "reused" / "stats.csv").read_bytes()
@@ -245,9 +253,9 @@ def test_stats_all_profiles_equal_variants_once(
     earlier variant; every file keeps its bytes."""
     calls = counted(monkeypatch, "distance_profile")
     outputs = {}
-    for name, reuse in (("reused", cli._reuse),
-                        ("each", lambda earlier, g, compute: compute())):
-        monkeypatch.setattr(cli, "_reuse", reuse)
+    for name in ("reused", "each"):
+        if name == "each":
+            measure_each(monkeypatch)
         out = tmp_path / name / "stats.csv"
         out.parent.mkdir()
         assert run(capsys, "stats", *avignon_shaped_files, "--all", "--k",
@@ -513,6 +521,7 @@ MEASURING_COMMANDS = [
     ("stats", "--method", "EFS_k", "--k", "1", "--out", "{out}/s.csv",
      "--profile"),
     ("sweep", "--base", "EFS", "--k-range", "0..3"),
+    ("communities", "--method", "EFS_k", "--k", "1", "--out", "{out}"),
 ]
 
 
@@ -620,7 +629,8 @@ def beside_a_cache():
     extraction option given beside a graph cache, which holds an
     extracted graph already."""
     options = [("--objects", "o.csv"), ("--relations", "r.csv"),
-               ("--segments", "s.csv"), ("--method", "EFS_k"), ("--k", "0")]
+               ("--segments", "s.csv"), ("--method", "EFS_k"), ("--k", "0"),
+               ("--threshold", "4"), ("--warnings",)]
     for command, cache, extra in (("stats", "--graphs", [("--all",)]),
                                   ("communities", "--graph", [])):
         for option in options + extra:
