@@ -27,8 +27,7 @@ from .data_model import Database, load_database, validate_database
 from .errors import (ConfrontNetError, EmptyResult, InsufficientCoordinates,
                      MalformedRecord)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
-                      ExtractionMethod, Scope, build_full_graph, extract,
-                      extract_or_empty)
+                      ExtractionMethod, Scope, build_full_graph, extract)
 from .graph import ConfrontGraph
 from .metrics import (DistanceProfile, GraphSummary, distance_profile,
                       pair_distances, summarize)
@@ -126,9 +125,9 @@ def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
 def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
                  ) -> tuple[list[str], ConfrontGraph, Iterator[ConfrontGraph]]:
     """The method codes asked for, the register's full graph, and the
-    variants extracted from it, lazily, in code order. Under --all a
-    variant that keeps no component is the empty graph; a single
-    --method fails on it."""
+    variants extracted from it, lazily, in code order. A single --method
+    refuses a variant that the size filter (threshold above 1) emptied;
+    under --all it is the empty graph."""
     every = getattr(args, "all", False)
     codes = list(METHOD_CODES) if every else [args.method]
     methods = [ExtractionMethod.from_code(
@@ -139,8 +138,15 @@ def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
             parser.error(f"--k is required for method {method.code}")
     db = _load_merged(args)
     full = build_full_graph(db)
-    run = extract_or_empty if every else extract
-    return codes, full, (run(db, method, full) for method in methods)
+
+    def variants() -> Iterator[ConfrontGraph]:
+        for method in methods:
+            g = extract(db, method, full)
+            if g.n == 0 and args.threshold > 1 and not every:
+                raise EmptyResult(f"no component reaches the size "
+                                  f"threshold {args.threshold}")
+            yield g
+    return codes, full, variants()
 
 
 def _input_manifest(args: argparse.Namespace) -> dict[str, str]:

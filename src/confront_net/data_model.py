@@ -529,10 +529,10 @@ def validate_database(db: Database) -> list[str]:
         if obj.id not in incident:
             warnings.append(f"isolate: object {obj.id!r} has no relations")
     for obj in db.objects.values():
-        if (obj.is_street and obj.dim is Dimensionality.LINEAR
+        if (obj.is_street and obj.dim is not Dimensionality.PUNCTUAL
                 and obj.length_m is None):
-            warnings.append(
-                f"missing-length: Linear street {obj.id!r} has no length_m")
+            warnings.append(f"missing-length: {obj.dim.value} street "
+                            f"{obj.id!r} has no length_m")
     for rel in db.relations:
         target = db.objects[rel.target_id]
         if target.segments and rel.target_segment is None:

@@ -54,7 +54,7 @@ class MissingSegments(ConfrontNetError):
 
 
 class EmptyResult(ConfrontNetError):
-    """A filter removed every vertex."""
+    """A single --method's variant or a graph to partition is empty."""
 
 
 class NoFinitePairs(ConfrontNetError):

@@ -5,7 +5,7 @@ street-adjacency data or not), H/F (keep or drop hierarchical edges),
 W/S (keep non-punctual objects whole or split them into segments), and
 the scope of non-punctual handling (all objects, streets only, or only
 the k longest streets). Pipelines always end by dropping components
-smaller than a threshold.
+smaller than a threshold, which may leave the empty graph.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 
-from .data_model import (Database, Dimensionality, ObjectKind,
-                         RelationOrigin, SpatialObject)
-from .errors import (EmptyResult, MalformedRecord, MissingLength,
-                     MissingSegments, UnmappableType)
+from .data_model import (Database, Dimensionality, RelationOrigin,
+                         SpatialObject)
+from .errors import (MalformedRecord, MissingLength, MissingSegments,
+                     UnmappableType)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex, unique_edges
 from .normalize import normalize_relation_type
 from .relation_types import (EGAL, HierarchyClass, NormalizedType,
@@ -86,8 +86,7 @@ METHOD_CODES: tuple[str, ...] = (
 
 def _vertex_from_object(obj: SpatialObject) -> Vertex:
     return Vertex(
-        id=obj.id, kind=obj.kind, dim=obj.dim,
-        is_property=obj.kind is ObjectKind.PROPERTY, coord=obj.coord,
+        id=obj.id, kind=obj.kind, dim=obj.dim, coord=obj.coord,
         parish=obj.parish, inside_old_walls=obj.inside_old_walls,
         source_object=obj.id)
 
@@ -140,6 +139,13 @@ def _rank_streets(db: Database) -> list[str]:
 
 def segment_vertex_id(object_id: str, segment_id: str) -> str:
     return f"{object_id}#{segment_id}"
+
+
+def _stand_in(obj: SpatialObject, binding: str | None) -> str:
+    """The segment vertex that stands for split object `obj` at an edge
+    end: the bound segment, else the first."""
+    return segment_vertex_id(
+        obj.id, binding if binding is not None else obj.segments[0].id)
 
 
 def _plan(g: ConfrontGraph, db: Database,
@@ -198,9 +204,8 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
     if not remove and not split:
         return g
 
-    first_segment = {
-        oid: segment_vertex_id(oid, db.objects[oid].segments[0].id)
-        for oid in split}
+    # Distinct edges stay distinct: an edge end moves only onto a segment
+    # of its own object, and no two edges share (source, target, type).
     edges: list[Edge] = []
     for e in g.edges:
         if e.source in remove or e.target in remove:
@@ -209,15 +214,11 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
         target = e.target
         segment = e.target_segment
         if source in split:
-            source = first_segment[source]
+            source = _stand_in(db.objects[source], None)
         if target in split:
-            if segment is not None:
-                target = segment_vertex_id(target, segment)
-            else:
-                target = first_segment[target]
+            target = _stand_in(db.objects[target], segment)
             segment = None
         edges.append(Edge(source, target, e.type, e.origin, segment))
-    edges = unique_edges(edges)
     referenced = {vid for e in edges for vid in (e.source, e.target)}
 
     vertices: list[Vertex] = []
@@ -235,7 +236,7 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
             # Segments are small enough to count as punctual vertices.
             vertices.append(Vertex(
                 id=ids[i], kind=v.kind, dim=Dimensionality.PUNCTUAL,
-                is_property=v.is_property, coord=segments[i].coord,
+                coord=segments[i].coord,
                 parish=v.parish, inside_old_walls=v.inside_old_walls,
                 source_object=v.id, source_segment=segments[i].id))
         edges.extend(Edge(ids[i], ids[i + 1],
@@ -253,10 +254,7 @@ def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:
         obj = db.objects.get(object_id)
         if obj is None or not obj.segments:
             return None
-        if binding is not None:
-            vid = segment_vertex_id(object_id, binding)
-        else:
-            vid = segment_vertex_id(object_id, obj.segments[0].id)
+        vid = _stand_in(obj, binding)
         return vid if vid in g.vertices else None
 
     edges = list(g.edges)
@@ -287,7 +285,7 @@ def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:
 
 def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
     """Keep only weakly connected components of at least `threshold`
-    vertices."""
+    vertices; the empty graph, without meta, when none is that large."""
     if threshold < 1:
         raise MalformedRecord(f"threshold must be >= 1, got {threshold}")
     if threshold == 1:
@@ -297,8 +295,7 @@ def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
         if len(component) >= threshold:
             keep.update(component)
     if not keep:
-        raise EmptyResult(
-            f"no component reaches the size threshold {threshold}")
+        return ConfrontGraph([], [])
     if len(keep) == g.n:
         return g
     return g.induced_subgraph(keep)
@@ -307,7 +304,8 @@ def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
 def extract(db: Database, method: ExtractionMethod,
             full: ConfrontGraph | None = None) -> ConfrontGraph:
     """Run the pipeline for one method; `full`, when given, is the
-    database's `build_full_graph` result, reused and left unchanged."""
+    database's `build_full_graph` result, reused and left unchanged. A
+    method that keeps no component gives the empty graph."""
     g = full if full is not None else build_full_graph(db)
     if not method.keep_hierarchy:
         g = filter_hierarchy(g)
@@ -319,14 +317,3 @@ def extract(db: Database, method: ExtractionMethod,
     g = copy.copy(g)
     g.method = method
     return g
-
-
-def extract_or_empty(db: Database, method: ExtractionMethod,
-                     full: ConfrontGraph | None = None) -> ConfrontGraph:
-    """`extract`, except that a method keeping no component of the
-    threshold size gives the empty graph (coverage 0, NaN rho) instead of
-    raising `EmptyResult`."""
-    try:
-        return extract(db, method, full)
-    except EmptyResult:
-        return ConfrontGraph([], [], method=method)

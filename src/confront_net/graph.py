@@ -34,12 +34,15 @@ class Vertex:
     id: str
     kind: ObjectKind
     dim: Dimensionality
-    is_property: bool
     coord: tuple[float, float] | None
     parish: str | None
     inside_old_walls: bool | None
     source_object: str
     source_segment: str | None = None
+
+    @property
+    def is_property(self) -> bool:
+        return self.kind is ObjectKind.PROPERTY
 
 
 @dataclass(frozen=True)

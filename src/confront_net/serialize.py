@@ -254,14 +254,18 @@ def read_cache(path: str | Path) -> ConfrontGraph:
             f"unsupported cache version {payload.get('version')!r} "
             f"(expected {CACHE_VERSION})", path=str(path))
     try:
+        rows = payload["vertices"]
         vertices = [
             Vertex(id=vid, kind=ObjectKind(kind), dim=Dimensionality(dim),
-                   is_property=is_prop,
                    coord=_check_coord(coord, f"vertex {vid!r}"), parish=parish,
                    inside_old_walls=walls, source_object=source,
                    source_segment=segment)
-            for vid, kind, dim, is_prop, coord, parish, walls, source,
-            segment in payload["vertices"]]
+            for vid, kind, dim, _, coord, parish, walls, source, segment
+            in rows]
+        for v, row in zip(vertices, rows):
+            if row[3] is not v.is_property:  # the kind decides the flag
+                raise MalformedRecord(f"vertex {v.id!r} has property flag "
+                                      f"{row[3]!r} but kind {v.kind.value!r}")
         edges = [Edge(source, target, NormalizedType(etype), origin, binding)
                  for source, target, etype, origin, binding
                  in payload["edges"]]

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 from .data_model import Database, Dimensionality
 from .errors import MalformedRecord
-from .extract import (ExtractionMethod, Scope, build_full_graph,
-                      extract_or_empty)
+from .extract import ExtractionMethod, Scope, build_full_graph, extract
 from .metrics import GraphSummary, summarize
 
 
@@ -47,7 +46,7 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
     for k in k_values:
         # A k that leaves no component is an empty point (coverage 0, NaN
         # rho), which dominates no other point.
-        g = extract_or_empty(db, replace(base_method, k=k), full)
+        g = extract(db, replace(base_method, k=k), full)
         summary = summarize(g, baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))

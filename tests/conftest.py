@@ -43,8 +43,7 @@ def property_baseline(db: Database) -> int:
 def make_vertex(vid: str, coord=None, kind=ObjectKind.PROPERTY,
                 dim=Dimensionality.PUNCTUAL, parish=None, walls=None,
                 source_object=None, source_segment=None) -> Vertex:
-    return Vertex(id=vid, kind=kind, dim=dim,
-                  is_property=kind is ObjectKind.PROPERTY, coord=coord,
+    return Vertex(id=vid, kind=kind, dim=dim, coord=coord,
                   parish=parish, inside_old_walls=walls,
                   source_object=source_object or vid,
                   source_segment=source_segment)

@@ -17,9 +17,10 @@ from conftest import make_graph, property_baseline, synthetic_database
 from register_writer import save_database
 from confront_net import cli, normalize
 from confront_net.cli import CACHE_SUFFIX, main
-from confront_net.extract import METHOD_CODES
+from confront_net.extract import METHOD_CODES, ExtractionMethod
 from confront_net.graph import ConfrontGraph
-from confront_net.serialize import atomic_write_bytes, cache_bytes, read_cache
+from confront_net.serialize import (atomic_write_bytes, cache_bytes,
+                                    graphml_bytes, read_cache)
 
 SEED = 0
 
@@ -487,13 +488,55 @@ def test_all_variants_print_exact_lines_in_order(
     assert printed(tmp_path / "merged") == (0, merged, "")
 
 
-@pytest.mark.parametrize("command", ["extract", "communities"])
+@pytest.mark.parametrize("command,out", [
+    ("extract", ("--out", "{out}")), ("stats", ()),
+    ("communities", ("--out", "{out}"))],
+    ids=["extract", "stats", "communities"])
 def test_single_empty_method_is_a_data_error(capsys, degenerate_files,
-                                             tmp_path, command):
-    code, _, err = run(capsys, command, *degenerate_files, "--method",
-                       "RFW_k", "--k", "4", "--out", str(tmp_path))
-    assert code == 2
-    assert "size threshold" in err
+                                             tmp_path, command, out):
+    """A single --method refuses the empty variant, writing nothing."""
+    code, printed, err = run(
+        capsys, command, *degenerate_files, "--method", "RFW_k", "--k", "4",
+        *[a.format(out=tmp_path / "out") for a in out])
+    assert (code, printed) == (2, "")
+    assert err == NOTE + "error: no component reaches the size threshold 25\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,out,printed", [
+    ("extract", ("--out", "{out}"), "RFW_k: n=34 m=32 components=9\n"),
+    ("stats", (), "method,n,m,delta,properties,coverage,components,d_max,"
+                  "d_harm,rho_d\n"
+                  "full,41,68,0.0415,31,100.00,2,6,2.76,0.34\n"
+                  "RFW_k,34,32,0.0285,31,100.00,9,8,5.00,0.15\n"),
+    ("communities", ("--out", "{out}"),
+     "communities=13 Q=0.5332 size_gini=0.3756\n"
+     "level modularity: 0.5117 -> 0.5332\n")],
+    ids=["extract", "stats", "communities"])
+def test_single_method_at_threshold_one_keeps_its_small_components(
+        capsys, degenerate_files, tmp_path, command, out, printed):
+    """At --threshold 1 no variant is refused: the one that keeps no
+    component of 25 keeps its nine small ones."""
+    assert run(capsys, command, *degenerate_files, "--method", "RFW_k",
+               "--k", "4", "--threshold", "1",
+               *[a.format(out=tmp_path) for a in out]) == (0, printed, NOTE)
+
+
+def test_extract_all_writes_an_empty_variant_as_the_empty_graph(
+        capsys, degenerate_files, tmp_path):
+    """The files of an empty variant are those of the graph with no
+    vertex, no edge and no meta, labelled with its method."""
+    assert run(capsys, "extract", *degenerate_files, "--all", "--k", "4",
+               "--out", str(tmp_path))[0] == 0
+    mhash = json.loads(
+        (tmp_path / "manifest.json").read_text())["manifest_hash"]
+    for code in ("RFW_k", "EFW_k"):
+        empty = ConfrontGraph([], [], method=ExtractionMethod.from_code(
+            code, k=4))
+        assert (tmp_path / f"{code}.graphml").read_bytes() == graphml_bytes(
+            empty, mhash)
+        assert (tmp_path / f"{code}{CACHE_SUFFIX}").read_bytes() == (
+            cache_bytes(empty, mhash))
 
 
 @pytest.fixture
@@ -710,8 +753,11 @@ def test_dump_normalization(capsys):
     (["meta"], [1]), (["meta"], "x"),
     (["vertices", 0, 4], [1.0, 2.0, 3.0]), (["vertices", 0, 4], "ab"),
     (["vertices", 0, 4], [float("nan"), 0.0]), (["edges", 0, 1], "ghost"),
+    (["vertices", 0, 3], False), (["vertices", 0, 3], 1),
+    (["vertices", 0, 1], "Street"),
 ], ids=["meta-list", "meta-string", "coord-3", "coord-string", "coord-nan",
-        "edge-to-missing-vertex"])
+        "edge-to-missing-vertex", "property-without-flag",
+        "property-flag-not-a-boolean", "flag-without-property-kind"])
 def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
                                                  where, value):
     graphs = tmp_path / "graphs"

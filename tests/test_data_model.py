@@ -14,7 +14,8 @@ from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      SpatialObject, load_database,
                                      validate_database)
 from confront_net.errors import (DanglingEndpoint, DuplicateId,
-                                 MalformedRecord, UnknownRawType)
+                                 MalformedRecord, MissingLength,
+                                 UnknownRawType)
 from confront_net.extract import ExtractionMethod, build_full_graph, extract
 from confront_net.serialize import graphml_bytes
 
@@ -651,8 +652,22 @@ def test_validate_database_warnings():
     assert [w.split(":")[0] for w in warnings] == [
         "isolate", "missing-length", "unassigned-segment"]
     assert "lonely" in warnings[0]
-    assert "st1" in warnings[1]
+    assert warnings[1] == "missing-length: Linear street 'st1' has no length_m"
     assert "r2" in warnings[2]
+
+
+def test_a_surface_street_without_length_is_warned_of_and_unrankable():
+    """Every non-punctual street is ranked by length, a Surface one too."""
+    db = Database.from_parts(
+        [obj("p1"), obj("sq", kind=ObjectKind.STREET, dim=S,
+                        segments=(Segment("a"), Segment("b")))],
+        [RelationRecord("r1", "p1", "sq", "Juxta", target_segment="a")])
+    assert validate_database(db) == [
+        "missing-length: Surface street 'sq' has no length_m"]
+    with pytest.raises(MissingLength) as exc:
+        extract(db, ExtractionMethod.from_code("EFS_k", k=1))
+    assert str(exc.value) == (
+        "street 'sq' has no length_m; cannot rank streets")
 
 
 def test_validate_database_clean():

@@ -3,6 +3,9 @@ handling with its split/chain/prune mechanics, injection, and the
 component size filter. The split cases are hand-traced."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,17 +13,18 @@ import prune_oracle
 from conftest import synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
-                                     SpatialObject)
-from confront_net.errors import (EmptyResult, MalformedRecord, MissingLength,
+                                     SpatialObject, load_database)
+from confront_net.errors import (MalformedRecord, MissingLength,
                                  MissingSegments, UnmappableType)
 from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
                                   build_full_graph, extract,
-                                  extract_or_empty, filter_components,
+                                  filter_components,
                                   filter_hierarchy, handle_nonpunctual,
                                   inject_additional, segment_vertex_id)
-from confront_net.graph import EdgeOrigin
+from confront_net.graph import ConfrontGraph, EdgeOrigin
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
+from confront_net.sweep import default_k_range
 
 # The package re-exports the function `extract` under the module's name.
 extract_module = importlib.import_module("confront_net.extract")
@@ -445,8 +449,9 @@ def test_filter_components_threshold_one_is_identity():
 
 def test_filter_components_empty_result():
     g = build_full_graph(component_db([3, 2]))
-    with pytest.raises(EmptyResult):
-        filter_components(g, 10)
+    out = filter_components(g, 10)
+    assert out == ConfrontGraph([], [])
+    assert (out.n, out.meta, out.method) == (0, {}, None)
 
 
 # --- the assembled pipeline -----------------------------------------------
@@ -495,13 +500,25 @@ def test_a_method_that_keeps_the_full_graph_labels_a_copy():
 
 def test_extract_threshold_25_on_small_graphs_is_empty():
     db = component_db([6, 4])
-    with pytest.raises(EmptyResult):
-        extract(db, ExtractionMethod.from_code("RFW_all"))
+    m = ExtractionMethod.from_code("RFW_all")
+    g = extract(db, m)
+    assert g == ConfrontGraph([], [])
+    assert (g.n, g.meta, g.method) == (0, {}, m)
+
+
+def test_an_emptied_injected_variant_drops_the_injection_counts():
+    db = component_db([6, 4])
+    m = ExtractionMethod.from_code("EFW_all")
+    assert inject_additional(build_full_graph(db), db).meta == {
+        "additional_added": 0, "additional_skipped": 0}
+    g = extract(db, m)
+    assert g == ConfrontGraph([], [])
+    assert (g.n, g.meta, g.method) == (0, {}, m)
 
 
 def pipeline_outcome(db, m, full):
-    """What the cache of `extract_or_empty` holds."""
-    g = extract_or_empty(db, m, full)
+    """What the cache of `extract` holds."""
+    g = extract(db, m, full)
     return g, g.meta, g.method
 
 
@@ -528,3 +545,53 @@ def test_span_rule_equals_the_worklist_pruning(seed, monkeypatch):
                     patch.setattr(extract_module, "handle_nonpunctual",
                                   prune_oracle.handle_nonpunctual)
                     assert pipeline_outcome(db, m, full) == got
+
+
+# --- vertex order ---------------------------------------------------------
+
+def register_order(db):
+    """Every vertex id a graph of `db` can hold, in register order: the
+    objects in `db.objects` order, each split object's segments in chain
+    order at the object's place."""
+    for obj in db.objects.values():
+        yield obj.id
+        for seg in obj.segments:
+            yield segment_vertex_id(obj.id, seg.id)
+
+
+def assert_in_register_order(g, db):
+    order = register_order(db)
+    # `in` consumes the iterator up to the match: a subsequence test.
+    assert all(vid in order for vid in g.vertex_ids()), g.method.code
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_every_variant_keeps_register_order(seed):
+    db = merge_equal_objects(synthetic_database(seed))
+    full = build_full_graph(db)
+    for code in METHOD_CODES:
+        for k in (0, 1, 2, 4):
+            for threshold in (1, 4):
+                try:
+                    g = extract(db, method(code, k=k, threshold=threshold),
+                                full)
+                except MissingSegments:
+                    continue
+                assert_in_register_order(g, db)
+
+
+def test_every_sweep_graph_of_the_generated_register_keeps_register_order(
+        tmp_path):
+    generator = Path(__file__).resolve().parents[1] / "perfbench"
+    subprocess.run([sys.executable, str(generator / "register.py"),
+                    "--scale", "0.04", "--seed", "0", "--out",
+                    str(tmp_path)], check=True, capture_output=True)
+    db = merge_equal_objects(load_database(
+        *(tmp_path / f"{name}.csv"
+          for name in ("objects", "relations", "segments"))))
+    full = build_full_graph(db)
+    for base in ("RFW", "EFW", "RFS", "EFS"):
+        for k in default_k_range(db):
+            g = extract(db, ExtractionMethod.from_code(f"{base}_k", k=k),
+                        full)
+            assert_in_register_order(g, db)
