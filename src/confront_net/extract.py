@@ -204,8 +204,8 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
     if not remove and not split:
         return g
 
-    # Distinct edges stay distinct: an edge end moves only onto a segment
-    # of its own object, and no two edges share (source, target, type).
+    # No two edges of `g` share (source, target, type), and an edge end
+    # moves only onto a segment of its own object: keys stay distinct.
     edges: list[Edge] = []
     for e in g.edges:
         if e.source in remove or e.target in remove:

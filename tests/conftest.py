@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +41,17 @@ def property_baseline(db: Database) -> int:
     """The coverage denominator: the property count of the full graph of
     the merged register, as the commands compute it."""
     return build_full_graph(merge_equal_objects(db)).property_count()
+
+
+def generated_register(root: Path) -> list[Path]:
+    """The objects, relations and segments CSVs of the benchmark's
+    generated register at its smallest scale, written into `root`."""
+    generator = Path(__file__).resolve().parents[1] / "perfbench"
+    subprocess.run([sys.executable, str(generator / "register.py"),
+                    "--scale", "0.04", "--seed", "0", "--out", str(root)],
+                   check=True, capture_output=True)
+    return [root / f"{name}.csv"
+            for name in ("objects", "relations", "segments")]
 
 
 def make_vertex(vid: str, coord=None, kind=ObjectKind.PROPERTY,

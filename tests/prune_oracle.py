@@ -35,8 +35,7 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
         for seg in obj.segments:
             vertices.append(Vertex(
                 id=segment_vertex_id(v.id, seg.id), kind=v.kind,
-                dim=Dimensionality.PUNCTUAL, coord=seg.coord,
-                parish=v.parish,
+                dim=Dimensionality.PUNCTUAL, coord=seg.coord, parish=v.parish,
                 inside_old_walls=v.inside_old_walls, source_object=v.id,
                 source_segment=seg.id))
 

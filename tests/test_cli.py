@@ -5,15 +5,14 @@ Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 import gzip
 import importlib
 import json
-import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
 import elementtree_oracle as oracle
-from conftest import make_graph, property_baseline, synthetic_database
+from conftest import (generated_register, make_graph, property_baseline,
+                      synthetic_database)
 from register_writer import save_database
 from confront_net import cli, normalize
 from confront_net.cli import CACHE_SUFFIX, main
@@ -201,14 +200,8 @@ def test_extract_all_coverage_is_over_the_full_graph(capsys, db_files,
 def avignon_shaped_files(tmp_path_factory):
     """The benchmark's generated register at its smallest scale, where
     RHS_all equals RFS_all and EHS_all equals EFS_all."""
-    root = tmp_path_factory.mktemp("register")
-    generator = Path(__file__).resolve().parents[1] / "perfbench"
-    subprocess.run([sys.executable, str(generator / "register.py"),
-                    "--scale", "0.04",
-                    "--seed", "0", "--out", str(root)],
-                   check=True, capture_output=True)
-    return [f"--{name}={root / name}.csv"
-            for name in ("objects", "relations", "segments")]
+    paths = generated_register(tmp_path_factory.mktemp("register"))
+    return [f"--{path.stem}={path}" for path in paths]
 
 
 def counted(monkeypatch, name):

@@ -3,22 +3,18 @@ handling with its split/chain/prune mechanics, injection, and the
 component size filter. The split cases are hand-traced."""
 
 import importlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import prune_oracle
-from conftest import synthetic_database
+from conftest import generated_register, synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject, load_database)
 from confront_net.errors import (MalformedRecord, MissingLength,
                                  MissingSegments, UnmappableType)
 from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
-                                  build_full_graph, extract,
-                                  filter_components,
+                                  build_full_graph, extract, filter_components,
                                   filter_hierarchy, handle_nonpunctual,
                                   inject_additional, segment_vertex_id)
 from confront_net.graph import ConfrontGraph, EdgeOrigin
@@ -499,21 +495,13 @@ def test_a_method_that_keeps_the_full_graph_labels_a_copy():
 
 
 def test_extract_threshold_25_on_small_graphs_is_empty():
+    """The empty graph has no meta, not even EFW_all's injection counts."""
     db = component_db([6, 4])
-    m = ExtractionMethod.from_code("RFW_all")
-    g = extract(db, m)
-    assert g == ConfrontGraph([], [])
-    assert (g.n, g.meta, g.method) == (0, {}, m)
-
-
-def test_an_emptied_injected_variant_drops_the_injection_counts():
-    db = component_db([6, 4])
-    m = ExtractionMethod.from_code("EFW_all")
-    assert inject_additional(build_full_graph(db), db).meta == {
-        "additional_added": 0, "additional_skipped": 0}
-    g = extract(db, m)
-    assert g == ConfrontGraph([], [])
-    assert (g.n, g.meta, g.method) == (0, {}, m)
+    for code in ("RFW_all", "EFW_all"):
+        m = ExtractionMethod.from_code(code)
+        g = extract(db, m)
+        assert g == ConfrontGraph([], [])
+        assert (g.n, g.meta, g.method) == (0, {}, m)
 
 
 def pipeline_outcome(db, m, full):
@@ -582,13 +570,7 @@ def test_every_variant_keeps_register_order(seed):
 
 def test_every_sweep_graph_of_the_generated_register_keeps_register_order(
         tmp_path):
-    generator = Path(__file__).resolve().parents[1] / "perfbench"
-    subprocess.run([sys.executable, str(generator / "register.py"),
-                    "--scale", "0.04", "--seed", "0", "--out",
-                    str(tmp_path)], check=True, capture_output=True)
-    db = merge_equal_objects(load_database(
-        *(tmp_path / f"{name}.csv"
-          for name in ("objects", "relations", "segments"))))
+    db = merge_equal_objects(load_database(*generated_register(tmp_path)))
     full = build_full_graph(db)
     for base in ("RFW", "EFW", "RFS", "EFS"):
         for k in default_k_range(db):
