@@ -16,9 +16,8 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -123,11 +122,11 @@ def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
-                 ) -> tuple[list[str], ConfrontGraph, Iterator[ConfrontGraph]]:
+                 ) -> tuple[list[str], ConfrontGraph, list[ConfrontGraph]]:
     """The method codes asked for, the register's full graph, and the
-    variants extracted from it, lazily, in code order. A single --method
-    refuses a variant that the size filter (threshold above 1) emptied;
-    under --all it is the empty graph."""
+    variants extracted from it in code order, all before anything is
+    measured. A single --method refuses a variant that the size filter
+    (threshold above 1) emptied; under --all it is the empty graph."""
     every = getattr(args, "all", False)
     codes = list(METHOD_CODES) if every else [args.method]
     methods = [ExtractionMethod.from_code(
@@ -138,15 +137,11 @@ def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
             parser.error(f"--k is required for method {method.code}")
     db = _load_merged(args)
     full = build_full_graph(db)
-
-    def variants() -> Iterator[ConfrontGraph]:
-        for method in methods:
-            g = extract(db, method, full)
-            if g.n == 0 and args.threshold > 1 and not every:
-                raise EmptyResult(f"no component reaches the size "
-                                  f"threshold {args.threshold}")
-            yield g
-    return codes, full, variants()
+    variants = [extract(db, method, full) for method in methods]
+    if not every and args.threshold > 1 and variants[0].n == 0:
+        raise EmptyResult(f"no component reaches the size "
+                          f"threshold {args.threshold}")
+    return codes, full, variants
 
 
 def _input_manifest(args: argparse.Namespace) -> dict[str, str]:
@@ -286,9 +281,8 @@ def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
 
 def cmd_extract(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
-    codes, full, variants = _extractions(args, parser)
     # Every variant before the first file: a data error writes none.
-    graphs = list(variants)
+    codes, full, graphs = _extractions(args, parser)
     manifest = build_manifest(
         "extract", args, codes,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
@@ -332,7 +326,7 @@ def cmd_stats(args: argparse.Namespace,
     else:
         codes, full, variants = _extractions(args, parser)
         labels = ["full", *codes]
-        measured = _measure(chain([full], variants), full.property_count(),
+        measured = _measure([full, *variants], full.property_count(),
                             args.profile)
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, labels, parameters)

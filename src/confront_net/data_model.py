@@ -150,6 +150,11 @@ class SpatialObject:
     def is_street(self) -> bool:
         return self.kind is ObjectKind.STREET
 
+    @property
+    def is_rankable_street(self) -> bool:
+        """A non-punctual street: one the k longest are chosen from."""
+        return self.is_street and self.dim is not Dimensionality.PUNCTUAL
+
     def segment_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.segments)
 
@@ -529,8 +534,7 @@ def validate_database(db: Database) -> list[str]:
         if obj.id not in incident:
             warnings.append(f"isolate: object {obj.id!r} has no relations")
     for obj in db.objects.values():
-        if (obj.is_street and obj.dim is not Dimensionality.PUNCTUAL
-                and obj.length_m is None):
+        if obj.is_rankable_street and obj.length_m is None:
             warnings.append(f"missing-length: {obj.dim.value} street "
                             f"{obj.id!r} has no length_m")
     for rel in db.relations:

@@ -16,8 +16,8 @@ from enum import Enum
 
 from .data_model import (Database, Dimensionality, RelationOrigin,
                          SpatialObject)
-from .errors import (MalformedRecord, MissingLength, MissingSegments,
-                     UnmappableType)
+from .errors import (DuplicateId, MalformedRecord, MissingLength,
+                     MissingSegments, UnmappableType)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex, unique_edges
 from .normalize import normalize_relation_type
 from .relation_types import (EGAL, HierarchyClass, NormalizedType,
@@ -95,7 +95,9 @@ def build_full_graph(db: Database) -> ConfrontGraph:
     """All primary relations, normalized; no filtering of any kind.
 
     Vertices are the objects incident to at least one primary relation;
-    objects nobody ever confronts with never enter any graph.
+    objects nobody ever confronts with never enter any graph. A register
+    where a vertex's segment would take an id already in use is refused,
+    whatever the method: some method splits every segmented vertex.
     """
     edges: list[Edge] = []
     incident: set[str] = set()
@@ -114,6 +116,16 @@ def build_full_graph(db: Database) -> ConfrontGraph:
         incident.add(rel.target_id)
     vertices = [_vertex_from_object(o) for o in db.objects.values()
                 if o.id in incident]
+    owners = {vid: vid for vid in incident}
+    for v in vertices:
+        for seg in db.objects[v.id].segments:
+            vid = segment_vertex_id(v.id, seg.id)
+            if vid in owners:
+                raise DuplicateId(
+                    f"segment {seg.id!r} of object {v.id!r} would have "
+                    f"vertex id {vid!r}, already used by object "
+                    f"{owners[vid]!r}")
+            owners[vid] = v.id
     return ConfrontGraph(vertices, unique_edges(edges))
 
 
@@ -127,8 +139,7 @@ def filter_hierarchy(g: ConfrontGraph) -> ConfrontGraph:
 
 def _rank_streets(db: Database) -> list[str]:
     """Non-punctual streets by decreasing length, ties by id."""
-    streets = [o for o in db.objects.values()
-               if o.is_street and o.dim is not Dimensionality.PUNCTUAL]
+    streets = [o for o in db.objects.values() if o.is_rankable_street]
     for obj in streets:
         if obj.length_m is None:
             raise MissingLength(

@@ -158,39 +158,14 @@ class ConfrontGraph:
             self._pairs = pairs
         return self._pairs
 
-    def adjacency(self) -> list[list[int]]:
-        """Undirected simple adjacency lists over vertex indices."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.undirected_pairs():
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
     def components(self) -> list[list[str]]:
         """Weakly connected components, vertices in insertion order.
 
         Components are ordered by their first vertex.
         """
         ids = self.vertex_ids()
-        adj = self.adjacency()
-        seen = [False] * self.n
-        components: list[list[str]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            members = []
-            while stack:
-                u = stack.pop()
-                members.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            members.sort()
-            components.append([ids[i] for i in members])
-        return components
+        return [[ids[i] for i in members] for members in
+                connected_components(self.n, self.undirected_pairs())]
 
     # --- derived graphs ---------------------------------------------------
 
@@ -207,6 +182,35 @@ class ConfrontGraph:
         return ConfrontGraph(self._vertices.values(), edges,
                              method=self.method,
                              meta=meta if meta is not None else self.meta)
+
+
+def connected_components(n: int, pairs: Iterable[tuple[int, int]]
+                         ) -> list[list[int]]:
+    """Connected components of the undirected graph on 0..n-1 whose
+    edges are `pairs`: each lists its members in ascending order, and
+    components are ordered by their first member."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * n
+    components: list[list[int]] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        members = []
+        while stack:
+            u = stack.pop()
+            members.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        members.sort()
+        components.append(members)
+    return components
 
 
 def unique_edges(edges: Iterable[Edge]) -> list[Edge]:

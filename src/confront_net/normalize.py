@@ -8,12 +8,12 @@ unifying the records they declare equal into one canonical object.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import replace
 
 from .data_model import (Database, Dimensionality, ObjectKind,
                          RelationRecord, SpatialObject, unique_by)
 from .errors import ConflictingMerge
+from .graph import connected_components
 from .relation_types import (EGAL, NORMALIZATION_TABLE, NormalizedType,
                              normalize_raw)
 
@@ -29,37 +29,6 @@ def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:
         raw,
         target_is_street=target.kind is ObjectKind.STREET,
         target_is_surface=target.dim is Dimensionality.SURFACE)
-
-
-class _UnionFind:
-    """Union-find whose canonical representative is the smallest id."""
-
-    def __init__(self, ids: Iterable[str]) -> None:
-        self._parent = {i: i for i in ids}
-
-    def find(self, x: str) -> str:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[drop] = keep
-
-    def groups(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for i in self._parent:
-            out.setdefault(self.find(i), []).append(i)
-        for members in out.values():
-            members.sort()
-        return out
 
 
 _FILLABLE = ("coord", "length_m", "parish", "inside_old_walls")
@@ -96,31 +65,43 @@ def merge_equal_objects(db: Database) -> Database:
     endpoints and raw type) collapse through ``unique_by``. Idempotent
     and independent of the Egal relations' order.
     """
-    if not any(r.raw_type == EGAL for r in db.relations):
+    egal = [rel for rel in db.relations if rel.raw_type == EGAL]
+    if not egal:
         return db
-    uf = _UnionFind(db.objects)
-    for rel in db.relations:
-        if rel.raw_type != EGAL:
-            continue
-        a = db.objects[uf.find(rel.source_id)]
-        b = db.objects[uf.find(rel.target_id)]
+    for rel in egal:
+        # Every group joined before `rel` holds one kind, so an endpoint's
+        # kind is its group's: comparing the endpoints in relation order
+        # refuses exactly the first relation that joins two kinds.
+        a = db.objects[rel.source_id]
+        b = db.objects[rel.target_id]
         if a.kind is not b.kind:
             raise ConflictingMerge(
                 f"relation {rel.id!r} declares {rel.source_id!r} "
                 f"({a.kind.value}) equal to {rel.target_id!r} "
                 f"({b.kind.value})")
-        uf.union(rel.source_id, rel.target_id)
-
-    groups = uf.groups()
-    merged = {oid: _merged_object([db.objects[i] for i in groups[oid]])
-              for oid in db.objects if oid in groups}
+    # Index the Egal-named records in id order, so each group comes out
+    # sorted and led by its lowest id; every other object keeps its own.
+    named = sorted({oid for rel in egal
+                    for oid in (rel.source_id, rel.target_id)})
+    index = {oid: i for i, oid in enumerate(named)}
+    canonical: dict[str, str] = {}
+    groups: dict[str, list[SpatialObject]] = {}
+    for members in connected_components(
+            len(named), [(index[rel.source_id], index[rel.target_id])
+                         for rel in egal]):
+        lead = named[members[0]]
+        groups[lead] = [db.objects[named[i]] for i in members]
+        canonical.update((named[i], lead) for i in members)
+    merged = {oid: _merged_object(groups[oid]) if oid in groups else obj
+              for oid, obj in db.objects.items()
+              if canonical.get(oid, oid) == oid}
 
     relations: list[RelationRecord] = []
     for rel in db.relations:
         if rel.raw_type == EGAL:
             continue
-        source = uf.find(rel.source_id)
-        target = uf.find(rel.target_id)
+        source = canonical.get(rel.source_id, rel.source_id)
+        target = canonical.get(rel.target_id, rel.target_id)
         if source == target:
             continue
         segment = rel.target_segment

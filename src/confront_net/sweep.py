@@ -11,7 +11,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .data_model import Database, Dimensionality
+from .data_model import Database
 from .errors import MalformedRecord
 from .extract import ExtractionMethod, Scope, build_full_graph, extract
 from .metrics import GraphSummary, summarize
@@ -27,8 +27,7 @@ class SweepPoint:
 
 def default_k_range(db: Database) -> range:
     """0 up to 10% of the rankable (non-punctual) streets, inclusive."""
-    streets = sum(1 for o in db.objects.values()
-                  if o.is_street and o.dim is not Dimensionality.PUNCTUAL)
+    streets = sum(1 for o in db.objects.values() if o.is_rankable_street)
     return range(0, math.ceil(streets / 10) + 1)
 
 

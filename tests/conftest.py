@@ -282,3 +282,18 @@ def egal_heavy(seed: int) -> Database:
         extra.append(RelationRecord(f"eq{n}", a, b, "Egal"))
     return Database.from_parts(db.objects.values(),
                                db.relations + tuple(extra))
+
+
+def segment_clash_database() -> Database:
+    """A punctual street `st#s0` whose id is the vertex id of the first
+    segment of street `st`; both are confronted."""
+    return Database.from_parts(
+        [SpatialObject("p", "property p", ObjectKind.PROPERTY,
+                       Dimensionality.PUNCTUAL),
+         SpatialObject("st#s0", "street st#s0", ObjectKind.STREET,
+                       Dimensionality.PUNCTUAL),
+         SpatialObject("st", "street st", ObjectKind.STREET,
+                       Dimensionality.LINEAR, length_m=100.0,
+                       segments=(Segment("s0"), Segment("s1")))],
+        [RelationRecord("r1", "p", "st", "Juxta", target_segment="s1"),
+         RelationRecord("r2", "p", "st#s0", "Juxta")])

@@ -12,9 +12,9 @@ import pytest
 
 import elementtree_oracle as oracle
 from conftest import (generated_register, make_graph, property_baseline,
-                      synthetic_database)
+                      segment_clash_database, synthetic_database)
 from register_writer import save_database
-from confront_net import cli, normalize
+from confront_net import cli, metrics, normalize
 from confront_net.cli import CACHE_SUFFIX, main
 from confront_net.extract import METHOD_CODES, ExtractionMethod
 from confront_net.graph import ConfrontGraph
@@ -485,15 +485,54 @@ def test_all_variants_print_exact_lines_in_order(
     ("extract", ("--out", "{out}")), ("stats", ()),
     ("communities", ("--out", "{out}"))],
     ids=["extract", "stats", "communities"])
-def test_single_empty_method_is_a_data_error(capsys, degenerate_files,
-                                             tmp_path, command, out):
-    """A single --method refuses the empty variant, writing nothing."""
+def test_single_empty_method_is_a_data_error(capsys, monkeypatch,
+                                             degenerate_files, tmp_path,
+                                             command, out):
+    """A single --method refuses the empty variant, writing nothing and
+    measuring nothing."""
+    hop_searches = []
+    original = metrics.all_pairs_graph_distance
+
+    def counted(g):
+        hop_searches.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(metrics, "all_pairs_graph_distance", counted)
     code, printed, err = run(
         capsys, command, *degenerate_files, "--method", "RFW_k", "--k", "4",
         *[a.format(out=tmp_path / "out") for a in out])
     assert (code, printed) == (2, "")
     assert err == NOTE + "error: no component reaches the size threshold 25\n"
     assert not (tmp_path / "out").exists()
+    assert hop_searches == []
+
+
+@pytest.fixture(scope="module")
+def segment_clash_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("segment-clash")
+    save_database(segment_clash_database(), root / "objects.csv",
+                  root / "relations.csv", root / "segments.csv")
+    return ["--objects", str(root / "objects.csv"),
+            "--relations", str(root / "relations.csv"),
+            "--segments", str(root / "segments.csv")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("extract", "--method", "RFW_all", "--out", "{out}"),
+    ("extract", "--all", "--k", "1", "--out", "{out}"),
+    ("stats", "--method", "RFW_all", "--out", "{out}/stats.csv"),
+    ("communities", "--method", "RFW_all", "--out", "{out}"),
+    ("sweep", "--base", "RFW", "--out", "{out}/sweep.csv"),
+], ids=["extract", "extract-all", "stats", "communities", "sweep"])
+def test_a_taken_segment_vertex_id_is_a_data_error(
+        capsys, segment_clash_files, tmp_path, argv):
+    """Even a method that keeps the street whole refuses the register."""
+    out = tmp_path / "out"
+    assert run(capsys, argv[0], *segment_clash_files, *(
+        a.format(out=out) for a in argv[1:]), "--threshold", "1") == (
+        2, "", "error: segment 's0' of object 'st' would have vertex id "
+               "'st#s0', already used by object 'st#s0'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,out,printed", [
@@ -572,30 +611,30 @@ def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
 
 
 @pytest.fixture
-def union_finds(monkeypatch):
-    """Count `_UnionFind` constructions, wherever the class is bound."""
+def egal_groupings(monkeypatch):
+    """Count the component searches that group Egal-linked records."""
     calls = []
-    original = normalize._UnionFind.__init__
+    original = normalize.connected_components
 
-    def counted(self, ids):
-        calls.append(ids)
-        original(self, ids)
+    def counted(n, pairs):
+        calls.append(n)
+        return original(n, pairs)
 
-    monkeypatch.setattr(normalize._UnionFind, "__init__", counted)
+    monkeypatch.setattr(normalize, "connected_components", counted)
     return calls
 
 
 @pytest.mark.parametrize("argv", MEASURING_COMMANDS)
 def test_each_command_groups_equal_records_once(capsys, db_files, tmp_path,
-                                                union_finds, argv):
-    """The Egal merge is the one union-find of a command: the coverage
-    baseline comes from the full graph, not from a second grouping."""
+                                                egal_groupings, argv):
+    """The Egal merge is the one grouping of records in a command: the
+    coverage baseline comes from the full graph, not from a second one."""
     assert any(r.raw_type == "Egal" for r in db_files["db"].relations)
     argv = [a.format(out=tmp_path) for a in argv]
     code, _, _ = run(capsys, argv[0], *db_files["argv"], *argv[1:],
                      "--threshold", "4")
     assert code == 0
-    assert len(union_finds) == 1
+    assert len(egal_groupings) == 1
 
 
 @pytest.mark.parametrize("argv,option", [

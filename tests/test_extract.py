@@ -7,12 +7,14 @@ import importlib
 import pytest
 
 import prune_oracle
-from conftest import generated_register, synthetic_database
+from conftest import (generated_register, segment_clash_database,
+                      synthetic_database)
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject, load_database)
-from confront_net.errors import (MalformedRecord, MissingLength,
-                                 MissingSegments, UnmappableType)
+from confront_net.errors import (DuplicateId, MalformedRecord,
+                                 MissingLength, MissingSegments,
+                                 UnmappableType)
 from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
                                   build_full_graph, extract, filter_components,
                                   filter_hierarchy, handle_nonpunctual,
@@ -108,6 +110,39 @@ def test_full_graph_normalizes_and_deduplicates():
         ("p2", "p1", NormalizedType.WEST_OF),
     ]
     assert all(e.origin == EdgeOrigin.PRIMARY for e in g.edges)
+
+
+@pytest.mark.parametrize("db,message", [
+    (segment_clash_database(),
+     "segment 's0' of object 'st' would have vertex id 'st#s0', already "
+     "used by object 'st#s0'"),
+    (Database.from_parts(
+        [prop("p"), street("a", segments=(Segment("b#c"), Segment("d"))),
+         street("a#b", segments=(Segment("c"), Segment("e")))],
+        [RelationRecord("r1", "p", "a", "Juxta", target_segment="d"),
+         RelationRecord("r2", "p", "a#b", "Juxta", target_segment="e")]),
+     "segment 'c' of object 'a#b' would have vertex id 'a#b#c', already "
+     "used by object 'a'"),
+], ids=["object-id", "segment-id"])
+def test_a_segment_vertex_id_may_not_be_taken(db, message):
+    """Every method refuses the register, not only those that split the
+    segmented street."""
+    with pytest.raises(DuplicateId) as exc:
+        build_full_graph(db)
+    assert str(exc.value) == message
+    for code in METHOD_CODES:
+        with pytest.raises(DuplicateId) as exc:
+            extract(db, method(code, k=1))
+        assert str(exc.value) == message
+
+
+def test_a_segment_vertex_id_outside_the_full_graph_is_no_clash():
+    # Nothing confronts the punctual street `st#s0`: it is no vertex.
+    db = Database.from_parts(
+        segment_clash_database().objects.values(),
+        [RelationRecord("r1", "p", "st", "Juxta", target_segment="s1")])
+    g = extract(db, method("RFS_all"))
+    assert g.vertex_ids() == ["p", "st#s1"]
 
 
 def test_full_graph_refuses_unmerged_egal():

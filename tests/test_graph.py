@@ -1,10 +1,15 @@
 """Graph container invariants and the collapsed undirected simple view."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as scipy_components
 
 from conftest import make_graph, make_vertex
 from confront_net.errors import DuplicateId, MalformedRecord
-from confront_net.graph import ConfrontGraph, Edge, EdgeOrigin, unique_edges
+from confront_net.graph import (ConfrontGraph, Edge, EdgeOrigin,
+                                connected_components, unique_edges)
 from confront_net.relation_types import NormalizedType
 
 R = NormalizedType.RELATED_TO
@@ -56,6 +61,34 @@ def test_undirected_pairs_collapse_parallel_and_antiparallel():
 def test_components_follow_insertion_order():
     g = make_graph([(3, 4), (0, 1)], n=6)
     assert g.components() == [["v0", "v1"], ["v2"], ["v3", "v4"], ["v5"]]
+
+
+@st.composite
+def index_graphs(draw):
+    """n >= 1 vertices and up to 3n index pairs, loops and repeats
+    included."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+@given(index_graphs())
+def test_connected_components_match_scipy(graph):
+    n, pairs = graph
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    _, labels = scipy_components(
+        coo_matrix(([1] * len(pairs), (rows, cols)), shape=(n, n)),
+        directed=False)
+    expected: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        expected.setdefault(label, []).append(i)
+    # Ascending members, components ordered by their first member.
+    assert connected_components(n, pairs) == list(expected.values())
+
+
+def test_connected_components_of_nothing():
+    assert connected_components(0, []) == []
 
 
 def test_induced_subgraph_keeps_orders():

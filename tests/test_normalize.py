@@ -275,19 +275,27 @@ def test_merge_is_idempotent():
     assert twice == once
 
 
+#: Kinds that may be punctual, so any of them fits every test object.
+PUNCTUAL_KINDS = (ObjectKind.PROPERTY, ObjectKind.GATE, ObjectKind.STREET)
+
+
 @given(st.randoms(use_true_random=False))
 def test_merge_groups_match_union_find_oracle(rnd):
     n = rnd.randint(2, 12)
     ids = [f"o{i:02d}" for i in range(n)]
-    objects = [prop(i) for i in ids]
+    kinds = rnd.sample(PUNCTUAL_KINDS, rnd.randint(1, len(PUNCTUAL_KINDS)))
+    objects = [SpatialObject(i, i, rnd.choice(kinds), Dimensionality.PUNCTUAL)
+               for i in ids]
+    kind = {o.id: o.kind for o in objects}
     pairs = []
     for _ in range(rnd.randint(1, n)):
         a, b = rnd.sample(ids, 2)
         pairs.append((a, b))
     relations = [rel(f"r{pos}", a, b) for pos, (a, b) in enumerate(pairs)]
-    merged = merge_equal_objects(Database.from_parts(objects, relations))
+    db = Database.from_parts(objects, relations)
 
-    # Plain iterative DSU as the oracle.
+    # Plain iterative DSU as the oracle, refusing in relation order the
+    # first relation that joins two groups of different kinds.
     parent = {i: i for i in ids}
 
     def find(x):
@@ -295,13 +303,25 @@ def test_merge_groups_match_union_find_oracle(rnd):
             x = parent[x]
         return x
 
-    for a, b in pairs:
+    conflict = None
+    for pos, (a, b) in enumerate(pairs):
         ra, rb = find(a), find(b)
+        if kind[ra] is not kind[rb]:
+            conflict = (f"relation 'r{pos}' declares {a!r} "
+                        f"({kind[ra].value}) equal to {b!r} "
+                        f"({kind[rb].value})")
+            break
         if ra != rb:
             keep, drop = sorted((ra, rb))
             parent[drop] = keep
-    expected = {i for i in ids if find(i) == i}
-    assert set(merged.objects) == expected
+    if conflict is not None:
+        with pytest.raises(ConflictingMerge) as exc:
+            merge_equal_objects(db)
+        assert str(exc.value) == conflict
+        return
+    merged = merge_equal_objects(db)
+    expected = [i for i in ids if find(i) == i]
+    assert list(merged.objects) == expected
 
 
 def test_merge_is_independent_of_egal_order():
