@@ -13,7 +13,7 @@ from .data_model import (Database, Dimensionality, ObjectKind,
                          SpatialObject, load_database, validate_database)
 from .errors import ConfrontNetError
 from .extract import (METHOD_CODES, ExtractionMethod, Scope,
-                      build_full_graph, extract)
+                      build_full_graph, extract, extract_each)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex
 from .metrics import GraphSummary, summarize
 from .normalize import merge_equal_objects, normalize_relation_type
@@ -28,6 +28,6 @@ __all__ = [
     "merge_equal_objects", "normalize_relation_type", "NormalizedType",
     "ConfrontGraph", "Vertex", "Edge", "EdgeOrigin",
     "ExtractionMethod", "Scope", "METHOD_CODES", "extract",
-    "build_full_graph", "GraphSummary", "summarize",
+    "extract_each", "build_full_graph", "GraphSummary", "summarize",
     "CommunityPartition", "louvain", "modularity",
 ]

@@ -26,7 +26,7 @@ from .data_model import Database, load_database, validate_database
 from .errors import (ConfrontNetError, EmptyResult, InsufficientCoordinates,
                      MalformedRecord)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
-                      ExtractionMethod, Scope, build_full_graph, extract)
+                      ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
 from .metrics import (DistanceProfile, GraphSummary, distance_profile,
                       pair_distances, summarize)
@@ -136,8 +136,7 @@ def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
         if method.scope is Scope.TOP_K and args.k is None:
             parser.error(f"--k is required for method {method.code}")
     db = _load_merged(args)
-    full = build_full_graph(db)
-    variants = [extract(db, method, full) for method in methods]
+    full, *variants = extract_each(db, methods)
     if not every and args.threshold > 1 and variants[0].n == 0:
         raise EmptyResult(f"no component reaches the size "
                           f"threshold {args.threshold}")

@@ -11,6 +11,7 @@ smaller than a threshold, which may leave the empty graph.
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,11 @@ class ExtractionMethod:
     component_threshold: int = DEFAULT_COMPONENT_THRESHOLD
 
     def __post_init__(self) -> None:
+        for name in ("k", "component_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise MalformedRecord(
+                    f"{name} must be an integer, got {value!r}")
         if self.k < 0:
             raise MalformedRecord(f"k must be >= 0, got {self.k}")
         if self.component_threshold < 1:
@@ -68,7 +74,7 @@ class ExtractionMethod:
             keep_hierarchy = {"H": True, "F": False}[flags[1]]
             split = {"W": False, "S": True}[flags[2]]
             scope = Scope(scope_name)
-        except (KeyError, ValueError):
+        except (AttributeError, KeyError, ValueError):  # a non-string too
             raise MalformedRecord(f"unknown method code {code!r}") from None
         return cls(use_additional=use_additional,
                    keep_hierarchy=keep_hierarchy, split=split, scope=scope,
@@ -253,7 +259,7 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
         edges.extend(Edge(ids[i], ids[i + 1],
                           NormalizedType.ARTIFICIAL_ADJACENCY,
                           EdgeOrigin.ARTIFICIAL) for i in span[:-1])
-    return ConfrontGraph(vertices, edges, method=g.method, meta=g.meta)
+    return ConfrontGraph(vertices, edges, meta=g.meta)
 
 
 def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:
@@ -312,19 +318,28 @@ def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
     return g.induced_subgraph(keep)
 
 
-def extract(db: Database, method: ExtractionMethod,
-            full: ConfrontGraph | None = None) -> ConfrontGraph:
-    """Run the pipeline for one method; `full`, when given, is the
-    database's `build_full_graph` result, reused and left unchanged. A
-    method that keeps no component gives the empty graph."""
-    g = full if full is not None else build_full_graph(db)
-    if not method.keep_hierarchy:
-        g = filter_hierarchy(g)
-    g = handle_nonpunctual(g, db, method)
-    if method.use_additional:
-        g = inject_additional(g, db)
-    g = filter_components(g, method.component_threshold)
-    # The stages may hand back their input, `full` itself: label a copy.
-    g = copy.copy(g)
-    g.method = method
+def extract_each(db: Database, methods: Sequence[ExtractionMethod]
+                 ) -> Iterator[ConfrontGraph]:
+    """The full graph, then each method's variant in order, one at a
+    time, all from that graph or its one hierarchy-free copy, neither
+    modified. A method keeping no component gives the empty graph."""
+    full = build_full_graph(db)
+    yield full
+    flat = (None if all(m.keep_hierarchy for m in methods)
+            else filter_hierarchy(full))
+    for method in methods:
+        g = full if method.keep_hierarchy else flat
+        g = handle_nonpunctual(g, db, method)
+        if method.use_additional:
+            g = inject_additional(g, db)
+        g = filter_components(g, method.component_threshold)
+        # The stages may hand back a shared graph: label a copy.
+        g = copy.copy(g)
+        g.method = method
+        yield g
+
+
+def extract(db: Database, method: ExtractionMethod) -> ConfrontGraph:
+    """Run the pipeline for one method (see `extract_each`)."""
+    _, g = extract_each(db, [method])
     return g

@@ -174,13 +174,11 @@ class ConfrontGraph:
         vertices = [v for v in self._vertices.values() if v.id in keep]
         edges = [e for e in self._edges
                  if e.source in keep and e.target in keep]
-        return ConfrontGraph(vertices, edges, method=self.method,
-                             meta=self.meta)
+        return ConfrontGraph(vertices, edges, meta=self.meta)
 
     def with_edges(self, edges: Iterable[Edge],
                    meta: Mapping[str, Any] | None = None) -> "ConfrontGraph":
         return ConfrontGraph(self._vertices.values(), edges,
-                             method=self.method,
                              meta=meta if meta is not None else self.meta)
 
 

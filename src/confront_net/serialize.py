@@ -23,7 +23,7 @@ from .community import CommunityNetwork
 from .data_model import Dimensionality, ObjectKind, _check_coord
 from .errors import ConfrontNetError, MalformedRecord
 from .extract import ExtractionMethod
-from .graph import ConfrontGraph, Edge, Vertex
+from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex
 from .relation_types import TABLE_VERSION, NormalizedType
 
 CACHE_FORMAT = "confront-net-graph"
@@ -235,6 +235,38 @@ def cache_bytes(g: ConfrontGraph, manifest_hash: str | None = None) -> bytes:
     return buf.getvalue()
 
 
+_ORIGINS = (EdgeOrigin.PRIMARY, EdgeOrigin.ADDITIONAL, EdgeOrigin.ARTIFICIAL)
+
+
+def _cached_vertex(row: Any) -> Vertex:
+    """A cache row as a vertex: each field of its type, and the property
+    flag the one its kind decides."""
+    vid, kind, dim, flag, coord, parish, walls, source, segment = row
+    for name, value, types in (
+            ("id", vid, str), ("parish", parish, (str, type(None))),
+            ("inside_old_walls", walls, (bool, type(None))),
+            ("source_object", source, str),
+            ("source_segment", segment, (str, type(None)))):
+        if not isinstance(value, types):
+            raise MalformedRecord(f"vertex {vid!r} has {name} {value!r}")
+    v = Vertex(id=vid, kind=ObjectKind(kind), dim=Dimensionality(dim),
+               coord=_check_coord(coord, f"vertex {vid!r}"), parish=parish,
+               inside_old_walls=walls, source_object=source,
+               source_segment=segment)
+    if flag is not v.is_property:
+        raise MalformedRecord(f"vertex {vid!r} has property flag {flag!r} "
+                              f"but kind {v.kind.value!r}")
+    return v
+
+
+def _cached_edge(row: Any) -> Edge:
+    source, target, etype, origin, binding = row
+    if origin not in _ORIGINS:
+        raise MalformedRecord(
+            f"edge {source!r}->{target!r} has origin {origin!r}")
+    return Edge(source, target, NormalizedType(etype), origin, binding)
+
+
 def read_cache(path: str | Path) -> ConfrontGraph:
     path = Path(path)
     try:
@@ -254,21 +286,8 @@ def read_cache(path: str | Path) -> ConfrontGraph:
             f"unsupported cache version {payload.get('version')!r} "
             f"(expected {CACHE_VERSION})", path=str(path))
     try:
-        rows = payload["vertices"]
-        vertices = [
-            Vertex(id=vid, kind=ObjectKind(kind), dim=Dimensionality(dim),
-                   coord=_check_coord(coord, f"vertex {vid!r}"), parish=parish,
-                   inside_old_walls=walls, source_object=source,
-                   source_segment=segment)
-            for vid, kind, dim, _, coord, parish, walls, source, segment
-            in rows]
-        for v, row in zip(vertices, rows):
-            if row[3] is not v.is_property:  # the kind decides the flag
-                raise MalformedRecord(f"vertex {v.id!r} has property flag "
-                                      f"{row[3]!r} but kind {v.kind.value!r}")
-        edges = [Edge(source, target, NormalizedType(etype), origin, binding)
-                 for source, target, etype, origin, binding
-                 in payload["edges"]]
+        vertices = [_cached_vertex(row) for row in payload["vertices"]]
+        edges = [_cached_edge(row) for row in payload["edges"]]
         method = None
         if payload.get("method") is not None:
             method = ExtractionMethod.from_code(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .data_model import Database
 from .errors import MalformedRecord
-from .extract import ExtractionMethod, Scope, build_full_graph, extract
+from .extract import ExtractionMethod, Scope, extract_each
 from .metrics import GraphSummary, summarize
 
 
@@ -39,13 +39,12 @@ def sweep_k(db: Database, base_method: ExtractionMethod,
             f"{base_method.code!r}")
     if len(set(k_values)) != len(k_values):
         raise MalformedRecord("duplicate k in sweep range")
-    full = build_full_graph(db)
-    baseline = full.property_count()
+    graphs = extract_each(db, [replace(base_method, k=k) for k in k_values])
+    baseline = next(graphs).property_count()
     points = []
-    for k in k_values:
-        # A k that leaves no component is an empty point (coverage 0, NaN
-        # rho), which dominates no other point.
-        g = extract(db, replace(base_method, k=k), full)
+    # A k that leaves no component is an empty point (coverage 0, NaN
+    # rho), which dominates no other point.
+    for k, g in zip(k_values, graphs):
         summary = summarize(g, baseline)
         points.append(SweepPoint(k=k, coverage=summary.property_count,
                                  rho=summary.rho_d, summary=summary))

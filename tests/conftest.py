@@ -1,7 +1,7 @@
 """Shared builders: quick graphs, quick databases, and the randomized
 synthetic database generator used by the pipeline invariant suite; the
 per-statistic views of a graph's hops that the oracles compare against;
-and the coverage baseline of a register."""
+the coverage baseline of a register; and a fixture that counts calls."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from confront_net import metrics
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
@@ -35,6 +36,24 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(module, name)` wraps `module.name` for the test and
+    returns the list it appends each call's first argument to."""
+    def count(module, name: str) -> list:
+        calls: list = []
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return count
 
 
 def property_baseline(db: Database) -> int:

@@ -204,19 +204,6 @@ def avignon_shaped_files(tmp_path_factory):
     return [f"--{path.stem}={path}" for path in paths]
 
 
-def counted(monkeypatch, name):
-    """Wrap `cli.<name>` and return the list of its calls."""
-    calls = []
-    real = getattr(cli, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, name, wrapper)
-    return calls
-
-
 def measure_each(monkeypatch):
     """Make `cli._measure` measure every graph on its own, reusing no
     earlier result."""
@@ -226,11 +213,11 @@ def measure_each(monkeypatch):
 
 
 def test_extract_all_summarizes_equal_variants_once(
-        capsys, monkeypatch, avignon_shaped_files, tmp_path):
+        capsys, monkeypatch, count_calls, avignon_shaped_files, tmp_path):
     """`extract --all` summarizes 15 of its 17 graphs and reuses the rows
     of the two equal variants; stats.csv keeps every byte of a run that
     summarizes each graph."""
-    calls = counted(monkeypatch, "summarize")
+    calls = count_calls(cli, "summarize")
     argv = ["extract", *avignon_shaped_files, "--all", "--k", "7", "--out"]
     assert run(capsys, *argv, str(tmp_path / "reused"))[0] == 0
     assert len(calls) == 15
@@ -242,10 +229,10 @@ def test_extract_all_summarizes_equal_variants_once(
 
 
 def test_stats_all_profiles_equal_variants_once(
-        capsys, monkeypatch, avignon_shaped_files, tmp_path):
+        capsys, monkeypatch, count_calls, avignon_shaped_files, tmp_path):
     """`stats --all --profile` reuses the row and the profile of an equal
     earlier variant; every file keeps its bytes."""
-    calls = counted(monkeypatch, "distance_profile")
+    calls = count_calls(cli, "distance_profile")
     outputs = {}
     for name in ("reused", "each"):
         if name == "each":
@@ -485,19 +472,12 @@ def test_all_variants_print_exact_lines_in_order(
     ("extract", ("--out", "{out}")), ("stats", ()),
     ("communities", ("--out", "{out}"))],
     ids=["extract", "stats", "communities"])
-def test_single_empty_method_is_a_data_error(capsys, monkeypatch,
+def test_single_empty_method_is_a_data_error(capsys, count_calls,
                                              degenerate_files, tmp_path,
                                              command, out):
     """A single --method refuses the empty variant, writing nothing and
     measuring nothing."""
-    hop_searches = []
-    original = metrics.all_pairs_graph_distance
-
-    def counted(g):
-        hop_searches.append(g.n)
-        return original(g)
-
-    monkeypatch.setattr(metrics, "all_pairs_graph_distance", counted)
+    hop_searches = count_calls(metrics, "all_pairs_graph_distance")
     code, printed, err = run(
         capsys, command, *degenerate_files, "--method", "RFW_k", "--k", "4",
         *[a.format(out=tmp_path / "out") for a in out])
@@ -571,24 +551,9 @@ def test_extract_all_writes_an_empty_variant_as_the_empty_graph(
             cache_bytes(empty, mhash))
 
 
-@pytest.fixture
-def full_builds(monkeypatch):
-    """Count `build_full_graph` calls through every module binding."""
-    # The package root re-exports the function `extract`, which shadows
-    # the module of that name as an attribute.
-    modules = [importlib.import_module(f"confront_net.{name}")
-               for name in ("extract", "cli", "sweep")]
-    calls = []
-    original = modules[0].build_full_graph
-
-    def counted(db):
-        calls.append(db)
-        return original(db)
-
-    for module in modules:
-        monkeypatch.setattr(module, "build_full_graph", counted)
-    return calls
-
+# The package root re-exports the function `extract`, which shadows the
+# module of that name as an attribute.
+EXTRACT = importlib.import_module("confront_net.extract")
 
 MEASURING_COMMANDS = [
     ("extract", "--all", "--k", "1", "--out", "{out}"),
@@ -600,41 +565,39 @@ MEASURING_COMMANDS = [
 ]
 
 
+def run_measuring(capsys, db_files, tmp_path, argv):
+    argv = [a.format(out=tmp_path) for a in argv]
+    assert run(capsys, argv[0], *db_files["argv"], *argv[1:],
+               "--threshold", "4")[0] == 0
+
+
 @pytest.mark.parametrize("argv", MEASURING_COMMANDS)
 def test_each_command_builds_the_full_graph_once(capsys, db_files, tmp_path,
-                                                 full_builds, argv):
-    argv = [a.format(out=tmp_path) for a in argv]
-    code, _, _ = run(capsys, argv[0], *db_files["argv"], *argv[1:],
-                     "--threshold", "4")
-    assert code == 0
-    assert len(full_builds) == 1
+                                                 count_calls, argv):
+    builds = count_calls(EXTRACT, "build_full_graph")
+    run_measuring(capsys, db_files, tmp_path, argv)
+    assert len(builds) == 1
 
 
-@pytest.fixture
-def egal_groupings(monkeypatch):
-    """Count the component searches that group Egal-linked records."""
-    calls = []
-    original = normalize.connected_components
-
-    def counted(n, pairs):
-        calls.append(n)
-        return original(n, pairs)
-
-    monkeypatch.setattr(normalize, "connected_components", counted)
-    return calls
+@pytest.mark.parametrize("argv", MEASURING_COMMANDS)
+def test_each_command_drops_the_hierarchy_once(
+        capsys, db_files, tmp_path, count_calls, argv):
+    """Every method that drops the hierarchy starts from one
+    hierarchy-free copy of the full graph."""
+    filters = count_calls(EXTRACT, "filter_hierarchy")
+    run_measuring(capsys, db_files, tmp_path, argv)
+    assert len(filters) == 1
 
 
 @pytest.mark.parametrize("argv", MEASURING_COMMANDS)
 def test_each_command_groups_equal_records_once(capsys, db_files, tmp_path,
-                                                egal_groupings, argv):
+                                                count_calls, argv):
     """The Egal merge is the one grouping of records in a command: the
     coverage baseline comes from the full graph, not from a second one."""
     assert any(r.raw_type == "Egal" for r in db_files["db"].relations)
-    argv = [a.format(out=tmp_path) for a in argv]
-    code, _, _ = run(capsys, argv[0], *db_files["argv"], *argv[1:],
-                     "--threshold", "4")
-    assert code == 0
-    assert len(egal_groupings) == 1
+    groupings = count_calls(normalize, "connected_components")
+    run_measuring(capsys, db_files, tmp_path, argv)
+    assert len(groupings) == 1
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -786,17 +749,29 @@ def test_dump_normalization(capsys):
     (["vertices", 0, 4], [1.0, 2.0, 3.0]), (["vertices", 0, 4], "ab"),
     (["vertices", 0, 4], [float("nan"), 0.0]), (["edges", 0, 1], "ghost"),
     (["vertices", 0, 3], False), (["vertices", 0, 3], 1),
-    (["vertices", 0, 1], "Street"),
+    (["vertices", 0, 1], "Street"), (["vertices", 3, 0], 3),
+    (["vertices", 0, 5], [1]), (["vertices", 0, 5], 3),
+    (["vertices", 0, 6], "yes"), (["vertices", 0, 6], "false"),
+    (["vertices", 0, 7], 1), (["vertices", 0, 8], ["s0"]),
+    (["edges", 0, 3], "Secondary"), (["method", "k"], 7.5),
+    (["method", "k"], True), (["method", "component_threshold"], 25.0),
+    (["method", "code"], 5),
 ], ids=["meta-list", "meta-string", "coord-3", "coord-string", "coord-nan",
         "edge-to-missing-vertex", "property-without-flag",
-        "property-flag-not-a-boolean", "flag-without-property-kind"])
+        "property-flag-not-a-boolean", "flag-without-property-kind",
+        "id-not-a-string", "parish-list", "parish-number", "walls-yes",
+        "walls-false-string", "source-object-number", "source-segment-list",
+        "unknown-edge-origin", "k-float", "k-bool", "threshold-float",
+        "method-code-number"])
 def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
                                                  where, value):
     graphs = tmp_path / "graphs"
     path = graphs / f"g{CACHE_SUFFIX}"
-    write_cache(make_graph([(0, 1), (1, 2), (0, 2)],
-                           coords={i: (float(i), 0.0) for i in range(3)}),
-                path)
+    # v3 has no edge, so its id can change without orphaning one.
+    g = make_graph([(0, 1), (1, 2), (0, 2)], n=4,
+                   coords={i: (float(i), 0.0) for i in range(3)})
+    g.method = ExtractionMethod.from_code("EFS_k", k=7)
+    write_cache(g, path)
     payload = json.loads(gzip.decompress(path.read_bytes()))
     *head, last = where
     item = payload

@@ -16,9 +16,10 @@ from confront_net.errors import (DuplicateId, MalformedRecord,
                                  MissingLength, MissingSegments,
                                  UnmappableType)
 from confront_net.extract import (METHOD_CODES, ExtractionMethod, Scope,
-                                  build_full_graph, extract, filter_components,
-                                  filter_hierarchy, handle_nonpunctual,
-                                  inject_additional, segment_vertex_id)
+                                  build_full_graph, extract, extract_each,
+                                  filter_components, filter_hierarchy,
+                                  handle_nonpunctual, inject_additional,
+                                  segment_vertex_id)
 from confront_net.graph import ConfrontGraph, EdgeOrigin
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
@@ -57,7 +58,7 @@ def test_the_sixteen_method_codes_round_trip():
 
 
 @pytest.mark.parametrize("bad", ["XFW_all", "RF_all", "RFW_top", "RFW",
-                                 "RFWS_all", ""])
+                                 "RFWS_all", "", 5, None])
 def test_bad_method_codes_rejected(bad):
     with pytest.raises(MalformedRecord):
         ExtractionMethod.from_code(bad)
@@ -68,6 +69,15 @@ def test_method_parameter_bounds():
         ExtractionMethod.from_code("RFW_k", k=-1)
     with pytest.raises(MalformedRecord):
         ExtractionMethod.from_code("RFW_all", component_threshold=0)
+
+
+@pytest.mark.parametrize("name", ["k", "component_threshold"])
+@pytest.mark.parametrize("value", [7.5, 7.0, True, "7", None])
+def test_method_parameters_are_integers(name, value):
+    """A bool is refused too, though Python counts it as an int."""
+    with pytest.raises(MalformedRecord,
+                       match=rf"^{name} must be an integer, got "):
+        ExtractionMethod.from_code("RFW_k", **{name: value})
 
 
 # --- full graph -----------------------------------------------------------
@@ -248,13 +258,13 @@ def test_an_unreferenced_split_street_keeps_its_first_segment():
     relations = [RelationRecord("r1", "p1", "p2", "Juxta"),
                  RelationRecord("r2", "w", "par", "In")]
     db = Database.from_parts(objects, relations)
-    full = build_full_graph(db)
+    methods = [method(code, threshold=1)
+               for code in ("RFS_all", "RHS_all", "RFS_streets", "EFS_all")]
+    full, *graphs = extract_each(db, methods)
     assert [(e.source, e.target, e.type) for e in full.edges] == [
         ("p1", "p2", R), ("w", "par", NormalizedType.INSIDE_OF)]
-    for code in ("RFS_all", "RHS_all", "RFS_streets", "EFS_all"):
-        m = method(code, threshold=1)
-        g = extract(db, m, full)
-        assert g.vertex_ids() == ["p1", "p2", "w#a"], code
+    for m, g in zip(methods, graphs):
+        assert g.vertex_ids() == ["p1", "p2", "w#a"], m.code
         assert [(e.source, e.target) for e in g.edges] == [("p1", "p2")]
         assert g == prune_oracle.handle_nonpunctual(
             full if m.keep_hierarchy else filter_hierarchy(full), db, m)
@@ -505,28 +515,51 @@ def test_extract_wires_the_stages_together():
 def test_a_shared_full_graph_gives_the_same_graphs_and_stays_unchanged(
         seed):
     db = merge_equal_objects(synthetic_database(seed))
-    full = build_full_graph(db)
-    for code in METHOD_CODES:
-        for k in (1, 2):
-            for threshold in (1, 4):
-                m = method(code, k=k, threshold=threshold)
-                shared = extract(db, m, full)
+    for k in (1, 2):
+        for threshold in (1, 4):
+            methods = [method(code, k=k, threshold=threshold)
+                       for code in METHOD_CODES]
+            full, *shared = extract_each(db, methods)
+            for m, g in zip(methods, shared):
                 alone = extract(db, m)
-                assert shared == alone
-                assert shared.method == alone.method == m
-                assert shared.meta == alone.meta
-    assert full.method is None
-    assert full.meta == {}
-    assert full == build_full_graph(db)
+                assert g == alone
+                assert g.vertex_ids() == alone.vertex_ids()
+                assert g.method == alone.method == m
+                assert g.meta == alone.meta
+            assert full.method is None
+            assert full.meta == {}
+            assert full == build_full_graph(db)
 
 
 def test_a_method_that_keeps_the_full_graph_labels_a_copy():
     db = merge_equal_objects(synthetic_database(0))
-    full = build_full_graph(db)
-    g = extract(db, method("RHW_all", threshold=1), full)
+    full, g = extract_each(db, [method("RHW_all", threshold=1)])
     assert g == full and g is not full
     assert g.method.code == "RHW_all"
     assert full.method is None
+
+
+def test_methods_that_keep_the_hierarchy_free_graph_label_copies():
+    """RFW_all at threshold 1 is the shared hierarchy-free graph itself."""
+    db = merge_equal_objects(synthetic_database(0))
+    methods = [method("RFW_all", threshold=1),
+               method("RFW_all", k=3, threshold=1)]
+    full, first, second = extract_each(db, methods)
+    assert first == second == filter_hierarchy(full)
+    assert first is not second
+    assert (first.method, second.method) == tuple(methods)
+
+
+@pytest.mark.parametrize("codes,filters", [
+    (METHOD_CODES, 1), (("RHW_all", "EHS_all", "RHS_k"), 0), ((), 0)])
+def test_extract_each_drops_the_hierarchy_at_most_once(count_calls, codes,
+                                                        filters):
+    db = merge_equal_objects(synthetic_database(0))
+    builds = count_calls(extract_module, "build_full_graph")
+    calls = count_calls(extract_module, "filter_hierarchy")
+    graphs = list(extract_each(db, [method(code, k=1) for code in codes]))
+    assert len(graphs) == 1 + len(codes)
+    assert (len(builds), len(calls)) == (1, filters)
 
 
 def test_extract_threshold_25_on_small_graphs_is_empty():
@@ -539,10 +572,10 @@ def test_extract_threshold_25_on_small_graphs_is_empty():
         assert (g.n, g.meta, g.method) == (0, {}, m)
 
 
-def pipeline_outcome(db, m, full):
-    """What the cache of `extract` holds."""
-    g = extract(db, m, full)
-    return g, g.meta, g.method
+def pipeline_outcomes(db, methods):
+    """What the caches of `extract_each`'s variants hold."""
+    _, *graphs = extract_each(db, methods)
+    return [(g, g.meta, g.method) for g in graphs]
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -561,13 +594,13 @@ def test_span_rule_equals_the_worklist_pruning(seed, monkeypatch):
                     prune_oracle.handle_nonpunctual(g, db, m)
                 continue
             assert stage == prune_oracle.handle_nonpunctual(g, db, m)
-            for threshold in (1, 2, 4):
-                m = method(code, k=k, threshold=threshold)
-                got = pipeline_outcome(db, m, full)
-                with monkeypatch.context() as patch:
-                    patch.setattr(extract_module, "handle_nonpunctual",
-                                  prune_oracle.handle_nonpunctual)
-                    assert pipeline_outcome(db, m, full) == got
+            methods = [method(code, k=k, threshold=threshold)
+                       for threshold in (1, 2, 4)]
+            got = pipeline_outcomes(db, methods)
+            with monkeypatch.context() as patch:
+                patch.setattr(extract_module, "handle_nonpunctual",
+                              prune_oracle.handle_nonpunctual)
+                assert pipeline_outcomes(db, methods) == got
 
 
 # --- vertex order ---------------------------------------------------------
@@ -591,24 +624,24 @@ def assert_in_register_order(g, db):
 @pytest.mark.parametrize("seed", range(16))
 def test_every_variant_keeps_register_order(seed):
     db = merge_equal_objects(synthetic_database(seed))
-    full = build_full_graph(db)
     for code in METHOD_CODES:
         for k in (0, 1, 2, 4):
-            for threshold in (1, 4):
-                try:
-                    g = extract(db, method(code, k=k, threshold=threshold),
-                                full)
-                except MissingSegments:
-                    continue
+            methods = [method(code, k=k, threshold=threshold)
+                       for threshold in (1, 4)]
+            try:
+                _, *graphs = extract_each(db, methods)
+            except MissingSegments:
+                continue
+            for g in graphs:
                 assert_in_register_order(g, db)
 
 
 def test_every_sweep_graph_of_the_generated_register_keeps_register_order(
         tmp_path):
     db = merge_equal_objects(load_database(*generated_register(tmp_path)))
-    full = build_full_graph(db)
     for base in ("RFW", "EFW", "RFS", "EFS"):
-        for k in default_k_range(db):
-            g = extract(db, ExtractionMethod.from_code(f"{base}_k", k=k),
-                        full)
+        _, *graphs = extract_each(db, [
+            ExtractionMethod.from_code(f"{base}_k", k=k)
+            for k in default_k_range(db)])
+        for g in graphs:
             assert_in_register_order(g, db)

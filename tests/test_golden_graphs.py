@@ -4,8 +4,9 @@
 `gexf_bytes` and the decompressed `cache_bytes` JSON (gzip bytes may
 vary with the zlib build) for the full graph and all 16 methods on two
 synthetic databases. The digests were recorded when every method still
-built its own full graph; the methods here share one, as the commands do,
-and any change to how graphs are built or written must keep them.
+built its own full graph; here one `extract_each` pass serves them all,
+as in the commands, and any change to how graphs are built or written
+must keep them.
 """
 
 import gzip
@@ -16,8 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import synthetic_database
-from confront_net.extract import (METHOD_CODES, ExtractionMethod,
-                                  build_full_graph, extract)
+from confront_net.extract import METHOD_CODES, ExtractionMethod, extract_each
 from confront_net.normalize import merge_equal_objects
 from confront_net.serialize import cache_bytes, gexf_bytes, graphml_bytes
 
@@ -36,12 +36,10 @@ def digests(g) -> list[str]:
 
 def case_digests(seed: int, k: int, threshold: int) -> dict[str, list[str]]:
     db = merge_equal_objects(synthetic_database(seed))
-    full = build_full_graph(db)
-    out = {"full": digests(full)}
-    for code in METHOD_CODES:
-        out[code] = digests(extract(db, ExtractionMethod.from_code(
-            code, k=k, component_threshold=threshold), full))
-    return out
+    graphs = extract_each(db, [ExtractionMethod.from_code(
+        code, k=k, component_threshold=threshold) for code in METHOD_CODES])
+    return {label: digests(g)
+            for label, g in zip(["full", *METHOD_CODES], graphs)}
 
 
 @pytest.mark.parametrize("seed,k,threshold", CASES)

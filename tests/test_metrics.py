@@ -764,24 +764,16 @@ def test_cli_import_leaves_out_scipy_stats():
 
 
 @pytest.fixture
-def hop_passes(monkeypatch):
-    """Sizes of the graphs every all-pairs hop search ran on."""
-    calls = []
-    original = metrics.all_pairs_graph_distance
-
-    def counted(g):
-        calls.append(g.n)
-        return original(g)
-
-    monkeypatch.setattr(metrics, "all_pairs_graph_distance", counted)
-    return calls
+def hop_passes(count_calls):
+    """The graphs every all-pairs hop search ran on."""
+    return count_calls(metrics, "all_pairs_graph_distance")
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_summarize_makes_one_hop_pass(hop_passes, seed):
     g = random_graph(random.Random(seed), max_n=30, with_coords=True)
     summarize(g, baseline=10)
-    assert hop_passes == [g.n]
+    assert hop_passes == [g]
 
 
 def test_stats_profile_makes_one_hop_pass_per_graph(hop_passes, tmp_path,

@@ -26,7 +26,7 @@ def test_the_library_block_runs_as_written(tmp_path, monkeypatch):
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         exec(compile(library_block(), str(README), "exec"), {})
-    summary, communities, empty = printed.getvalue().splitlines()
+    communities, summary, empty = printed.getvalue().splitlines()
     assert summary.startswith("GraphSummary(")
     assert int(communities) > 0
     assert empty == "['RFW_k', 'EFW_k']"

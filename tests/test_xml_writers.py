@@ -22,8 +22,7 @@ from confront_net.community import (CommunityLink, CommunityNetwork,
                                     CommunityNode, community_network,
                                     louvain)
 from confront_net.data_model import Dimensionality, ObjectKind
-from confront_net.extract import (METHOD_CODES, ExtractionMethod,
-                                  build_full_graph, extract)
+from confront_net.extract import METHOD_CODES, ExtractionMethod, extract_each
 from confront_net.graph import ConfrontGraph, Edge
 from confront_net.normalize import merge_equal_objects
 from confront_net.relation_types import NormalizedType
@@ -42,11 +41,10 @@ def assert_writers_match(g, manifest_hash=HASH):
 @pytest.mark.parametrize("seed,k,threshold", CASES)
 def test_every_golden_graph_matches_the_oracle(seed, k, threshold):
     db = merge_equal_objects(synthetic_database(seed))
-    full = build_full_graph(db)
-    assert_writers_match(full)
-    for code in METHOD_CODES:
-        assert_writers_match(extract(db, ExtractionMethod.from_code(
-            code, k=k, component_threshold=threshold), full))
+    for g in extract_each(db, [ExtractionMethod.from_code(
+            code, k=k, component_threshold=threshold)
+            for code in METHOD_CODES]):
+        assert_writers_match(g)
 
 
 @pytest.mark.parametrize("manifest_hash", [HASH, None])
