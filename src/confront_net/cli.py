@@ -259,15 +259,14 @@ def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
              profile: bool
              ) -> list[tuple[GraphSummary, DistanceProfile | None]]:
     """`_row_and_profile` of each graph, taken one at a time. A graph
-    equal to an earlier one with its vertices in the same order (a
-    profile sums its metres in pair order) takes over that one's
-    result."""
+    equal to an earlier one (vertex order included: a profile sums its
+    metres in pair order) takes over that one's result."""
     done: list[tuple[ConfrontGraph, tuple[GraphSummary,
                                           DistanceProfile | None]]] = []
     results = []
     for g in graphs:
         for seen, result in done:
-            if seen == g and seen.vertex_ids() == g.vertex_ids():
+            if seen == g:
                 break
         else:
             result = _row_and_profile(g, baseline, profile)
@@ -412,10 +411,11 @@ def cmd_communities(args: argparse.Namespace,
     atomic_write_bytes(args.out / "community_stats.csv", _render_csv(
         ("community", "n", "m", "delta", "properties", "share", "d_max",
          "d_harm", "rho_d"),
-        [[str(r.community), str(r.n), str(r.m), _fmt_float(r.delta, 4),
-          str(r.property_count), _fmt_float(100.0 * r.property_share, 2),
-          str(r.d_max), _fmt_float(r.d_harm, 2), _fmt_float(r.rho_d, 2)]
-         for r in stats.rows], mhash))
+        [[str(c), str(s.n), str(s.m), _fmt_float(s.delta, 4),
+          str(s.property_count),
+          _fmt_float(100.0 * (s.property_count / s.n), 2),
+          str(s.d_max), _fmt_float(s.d_harm, 2), _fmt_float(s.rho_d, 2)]
+         for c, s in enumerate(stats, 1)], mhash))
     atomic_write_bytes(args.out / "community_network.gexf",
                        community_gexf_bytes(network, mhash))
     atomic_write_bytes(args.out / "composition_kinds.csv", _render_csv(
@@ -477,8 +477,10 @@ def _build_parser() -> _Parser:
                        help="extract all 16 methods")
     p_extract.add_argument("--k", type=_int_at_least(0), default=None,
                            help="number of longest streets for _k methods")
-    p_extract.add_argument("--threshold", type=_int_at_least(1), default=25,
-                           help="minimum component size (default 25)")
+    p_extract.add_argument(
+        "--threshold", type=_int_at_least(1),
+        default=DEFAULT_COMPONENT_THRESHOLD,
+        help=f"minimum component size (default {DEFAULT_COMPONENT_THRESHOLD})")
     p_extract.add_argument("--out", type=Path, required=True,
                            help="output directory")
     p_extract.add_argument("--format", choices=("graphml", "gexf"),
@@ -510,12 +512,14 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep",
                              help="sweep k for a TopK method family")
     _add_db_arguments(p_sweep)
-    p_sweep.add_argument("--base", choices=("RFW", "EFW", "RFS", "EFS"),
-                         required=True, help="method family to sweep")
+    families = tuple(c[:-2] for c in METHOD_CODES if c.endswith("_k"))
+    p_sweep.add_argument("--base", choices=families, required=True,
+                         help="method family to sweep")
     p_sweep.add_argument("--k-range", type=_parse_range, default=None,
                          metavar="A..B",
                          help="inclusive k range (default 0..10%% of streets)")
-    p_sweep.add_argument("--threshold", type=_int_at_least(1), default=25)
+    p_sweep.add_argument("--threshold", type=_int_at_least(1),
+                         default=DEFAULT_COMPONENT_THRESHOLD)
     p_sweep.add_argument("--out", type=Path, default=None,
                          help="output CSV (default stdout)")
     p_sweep.add_argument("--warnings", action="store_true")

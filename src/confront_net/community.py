@@ -26,8 +26,6 @@ _GAIN_EPS = 1e-12
 class CommunityPartition:
     assignment: dict[str, int]  # vertex id -> community id, 1..C contiguous
     modularity: float
-    algorithm: str
-    seed: int | None
     level_modularities: tuple[float, ...] = ()
 
     def community_count(self) -> int:
@@ -39,24 +37,6 @@ class CommunityPartition:
         for vid, c in self.assignment.items():
             out.setdefault(c, []).append(vid)
         return dict(sorted(out.items()))
-
-
-@dataclass(frozen=True)
-class CommunityRow:
-    community: int
-    n: int
-    m: int
-    delta: float
-    property_count: int
-    property_share: float  # of the community's own size
-    d_max: int
-    d_harm: float
-    rho_d: float
-
-
-@dataclass(frozen=True)
-class CommunityStats:
-    rows: tuple[CommunityRow, ...]
 
 
 @dataclass(frozen=True)
@@ -218,23 +198,16 @@ def louvain(g: ConfrontGraph, seed: int = 0) -> CommunityPartition:
         assignment[vid] = renumber[c]
     q = _modularity_labels(g, [assignment[vid] for vid in ids])
     return CommunityPartition(assignment=assignment, modularity=q,
-                              algorithm="louvain", seed=seed,
                               level_modularities=tuple(levels))
 
 
-def community_stats(g: ConfrontGraph, p: CommunityPartition) -> CommunityStats:
-    """Table of per-community metrics on the induced subgraphs."""
+def community_stats(g: ConfrontGraph,
+                    p: CommunityPartition) -> list[GraphSummary]:
+    """The summary of each community's induced subgraph; community c is
+    at position c - 1."""
     _labels_for(g, p.assignment)  # coverage check
-    rows = []
-    for c, members in p.members().items():
-        sub = g.induced_subgraph(members)
-        s: GraphSummary = summarize(sub)
-        rows.append(CommunityRow(
-            community=c, n=s.n, m=s.m, delta=s.delta,
-            property_count=s.property_count,
-            property_share=s.property_count / s.n, d_max=s.d_max,
-            d_harm=s.d_harm, rho_d=s.rho_d))
-    return CommunityStats(rows=tuple(rows))
+    return [summarize(g.induced_subgraph(members))
+            for members in p.members().values()]
 
 
 def community_network(g: ConfrontGraph, p: CommunityPartition) -> CommunityNetwork:

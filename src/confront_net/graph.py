@@ -122,9 +122,10 @@ class ConfrontGraph:
         return sum(1 for v in self._vertices.values() if v.is_property)
 
     def __eq__(self, other: object) -> bool:
+        """The same vertices and edges in the same order; meta aside."""
         if not isinstance(other, ConfrontGraph):
             return NotImplemented
-        return (self._vertices == other._vertices
+        return (list(self._vertices.items()) == list(other._vertices.items())
                 and self._edges == other._edges)
 
     def __hash__(self) -> int:  # identity hashing; equality is structural

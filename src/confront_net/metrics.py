@@ -205,12 +205,15 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     located_hops = np.empty(size, matrix.dtype)
     metres = np.empty(size)
     pos = 0
-    for k in range(len(idx) - 1):
-        end = pos + len(idx) - 1 - k
-        located_hops[pos:end] = matrix[idx[k], idx[k + 1:]]
-        diff = xy[k] - xy[k + 1:]
-        metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
-        pos = end
+    # Coordinates a float64 difference overflows give an infinite metre,
+    # which ranks as a tied extreme value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(idx) - 1):
+            end = pos + len(idx) - 1 - k
+            located_hops[pos:end] = matrix[idx[k], idx[k + 1:]]
+            diff = xy[k] - xy[k + 1:]
+            metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
+            pos = end
     return PairDistances(histogram, (located_hops, metres))
 
 
@@ -473,10 +476,11 @@ def distance_profile(g: ConfrontGraph,
     buckets = []
     for h in np.flatnonzero(_blocked_bincount(graph_d, mark + 1)).tolist():
         sel = spatial[graph_d == h]
+        with np.errstate(over="ignore", invalid="ignore"):  # infinite metres
+            mean, std = float(sel.mean()), float(sel.std())
         buckets.append(ProfileBucket(
             graph_distance=math.inf if h == mark else float(h),
-            count=int(sel.size), mean_spatial=float(sel.mean()),
-            std_spatial=float(sel.std())))
+            count=int(sel.size), mean_spatial=mean, std_spatial=std))
     return DistanceProfile(tuple(buckets))
 
 

@@ -242,8 +242,7 @@ def test_criterion_6_modularity_oracle():
     triangle = make_graph([(0, 1), (1, 2), (0, 2)])
 
     def part(assignment):
-        return CommunityPartition(assignment=assignment, modularity=0.0,
-                                  algorithm="fixed", seed=None)
+        return CommunityPartition(assignment=assignment, modularity=0.0)
 
     with criterion(6, "modularity oracle"):
         single = part({v: 1 for v in two_triangles.vertex_ids()})

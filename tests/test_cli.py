@@ -892,3 +892,31 @@ def test_a_cache_with_an_oversized_coordinate_is_a_data_error(capsys,
     assert code == 2
     assert err.startswith("error: ")
     assert str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_coordinates_whose_difference_overflows_warn_nothing(capsys,
+                                                            tmp_path):
+    # a-b is 2e308 m apart, which float64 overflows to an infinite metre.
+    objects = tmp_path / "objects.csv"
+    objects.write_text(
+        "id,name,kind,dim,x,y,length_m,parish,inside_old_walls,declared\n"
+        "a,a,Property,Punctual,1e308,0,,,,\n"
+        "b,b,Property,Punctual,-1e308,0,,,,\n"
+        "c,c,Property,Punctual,0,0,,,,\n")
+    relations = tmp_path / "relations.csv"
+    relations.write_text("id,source_id,target_id,raw_type,origin,"
+                         "target_segment\nr1,a,b,Juxta,,\nr2,b,c,Juxta,,\n")
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "stats", "--objects", str(objects),
+                            "--relations", str(relations), "--all",
+                            "--k", "0", "--threshold", "1", "--out", str(out),
+                            "--profile")
+    assert (code, stdout, err) == (0, "", "")
+    rows = out.read_text().splitlines()[2:]
+    assert rows[0] == "full,3,2,0.3333,3,100.00,1,2,1.20,-0.50"
+    assert len(set(row.partition(",")[2] for row in rows)) == 1
+    profile = (tmp_path / "profile_full.csv").read_text().splitlines()[2:]
+    assert profile[0] == "1,2,inf,"  # a-b is infinite, b-c is 1e308
+    assert profile[1].startswith("2,1,1000000000000000010979")
+    assert profile[1].endswith(".000,0.000")

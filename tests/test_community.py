@@ -24,8 +24,7 @@ R = NormalizedType.RELATED_TO
 
 
 def partition(assignment, q=0.0):
-    return CommunityPartition(assignment=assignment, modularity=q,
-                              algorithm="fixed", seed=None)
+    return CommunityPartition(assignment=assignment, modularity=q)
 
 
 def two_triangles():
@@ -76,8 +75,6 @@ def test_louvain_recovers_the_triangle_split():
     p = louvain(two_triangles(), seed=0)
     assert p.assignment == TRIANGLE_SPLIT
     assert p.modularity == pytest.approx(5 / 14, abs=1e-12)
-    assert p.algorithm == "louvain"
-    assert p.seed == 0
 
 
 def test_louvain_recovers_bridged_cliques_for_any_seed():
@@ -143,17 +140,23 @@ def test_louvain_on_edgeless_graph():
 
 def test_community_stats_rows():
     g = two_triangles()
-    rows = community_stats(g, partition(TRIANGLE_SPLIT)).rows
-    assert [r.community for r in rows] == [1, 2]
+    rows = community_stats(g, partition(TRIANGLE_SPLIT))
+    assert len(rows) == 2  # communities 1 and 2, in id order
     assert sum(r.n for r in rows) == g.n
     for r in rows:
         assert r.n == 3
         assert r.m == 3
         assert r.delta == pytest.approx(0.5)
         assert r.property_count == 3  # conftest vertices are properties
-        assert r.property_share == 1.0
+        assert r.property_count / r.n == 1.0
         assert r.d_max == 1
         assert r.d_harm == 1.0
+        assert r.components == 1
+    # Community c is at position c - 1, whatever order its members come in.
+    uneven = {"v0": 2, "v1": 2, "v2": 1, "v3": 1, "v4": 1, "v5": 2}
+    assert [(r.n, r.components)
+            for r in community_stats(g, partition(uneven))] == [(3, 1),
+                                                                (3, 2)]
 
 
 def test_community_network_conserves_directed_edges():

@@ -107,6 +107,14 @@ def test_structural_equality_ignores_meta():
     assert a != make_graph([(0, 1), (1, 2)])
 
 
+def test_structural_equality_includes_vertex_order():
+    edges = [Edge("a", "b", R)]
+    ab = ConfrontGraph([make_vertex("a"), make_vertex("b")], edges)
+    ba = ConfrontGraph([make_vertex("b"), make_vertex("a")], edges)
+    assert ab != ba
+    assert ab == ConfrontGraph([make_vertex("a"), make_vertex("b")], edges)
+
+
 def test_unique_edges_keep_first_and_adopt_bindings():
     edges = [Edge("a", "b", R, target_segment=None),
              Edge("a", "b", R, target_segment="s2"),
