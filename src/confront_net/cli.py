@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -122,11 +123,12 @@ def _check_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
-                 ) -> tuple[list[str], ConfrontGraph, list[ConfrontGraph]]:
+                 ) -> tuple[list[str], ConfrontGraph, Iterable[ConfrontGraph]]:
     """The method codes asked for, the register's full graph, and the
-    variants extracted from it in code order, all before anything is
-    measured. A single --method refuses a variant that the size filter
-    (threshold above 1) emptied; under --all it is the empty graph."""
+    variants extracted from it in code order: under --all one at a time,
+    as `extract_each` yields them, an emptied one the empty graph; a
+    single --method's before anything is measured, refused when the size
+    filter (threshold above 1) emptied it."""
     every = getattr(args, "all", False)
     codes = list(METHOD_CODES) if every else [args.method]
     methods = [ExtractionMethod.from_code(
@@ -136,11 +138,14 @@ def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
         if method.scope is Scope.TOP_K and args.k is None:
             parser.error(f"--k is required for method {method.code}")
     db = _load_merged(args)
-    full, *variants = extract_each(db, methods)
-    if not every and args.threshold > 1 and variants[0].n == 0:
-        raise EmptyResult(f"no component reaches the size "
-                          f"threshold {args.threshold}")
-    return codes, full, variants
+    graphs = extract_each(db, methods)
+    full = next(graphs)
+    if not every:
+        graphs = list(graphs)
+        if args.threshold > 1 and graphs[0].n == 0:
+            raise EmptyResult(f"no component reaches the size "
+                              f"threshold {args.threshold}")
+    return codes, full, graphs
 
 
 def _input_manifest(args: argparse.Namespace) -> dict[str, str]:
@@ -260,17 +265,18 @@ def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
              ) -> list[tuple[GraphSummary, DistanceProfile | None]]:
     """`_row_and_profile` of each graph, taken one at a time. A graph
     equal to an earlier one (vertex order included: a profile sums its
-    metres in pair order) takes over that one's result."""
-    done: list[tuple[ConfrontGraph, tuple[GraphSummary,
-                                          DistanceProfile | None]]] = []
+    metres in pair order) takes over that one's result. Only what graph
+    equality compares is kept, not the graph with its index and pairs."""
+    done: list[tuple[tuple, tuple[GraphSummary, DistanceProfile | None]]] = []
     results = []
     for g in graphs:
+        key = (tuple(g.vertices.values()), g.edges)
         for seen, result in done:
-            if seen == g:
+            if seen == key:
                 break
         else:
             result = _row_and_profile(g, baseline, profile)
-            done.append((g, result))
+            done.append((key, result))
         results.append(result)
     return results
 
@@ -281,6 +287,7 @@ def cmd_extract(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     # Every variant before the first file: a data error writes none.
     codes, full, graphs = _extractions(args, parser)
+    graphs = list(graphs)
     manifest = build_manifest(
         "extract", args, codes,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
@@ -324,8 +331,8 @@ def cmd_stats(args: argparse.Namespace,
     else:
         codes, full, variants = _extractions(args, parser)
         labels = ["full", *codes]
-        measured = _measure([full, *variants], full.property_count(),
-                            args.profile)
+        measured = _measure(itertools.chain([full], variants),
+                            full.property_count(), args.profile)
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, labels, parameters)
     mhash = manifest["manifest_hash"]

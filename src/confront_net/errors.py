@@ -57,10 +57,6 @@ class EmptyResult(ConfrontNetError):
     """A single --method's variant or a graph to partition is empty."""
 
 
-class NoFinitePairs(ConfrontNetError):
-    """No connected vertex pair exists, so the diameter is undefined."""
-
-
 class InsufficientCoordinates(ConfrontNetError):
     """Fewer than two located vertices; spatial statistics are undefined."""
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCoordinates, NoFinitePairs
+from .errors import InsufficientCoordinates
 from .graph import ConfrontGraph
 
 #: Values per `np.bincount` call (its intp copy takes 512 KiB).
@@ -118,43 +118,45 @@ def all_pairs_graph_distance(g: ConfrontGraph) -> np.ndarray:
     unsigned one holding d_max + 1 (`uint8`, or `uint16` once
     d_max >= 255), and the type's maximum marks unreachable pairs.
 
-    Row v of `seen` and `frontier` is a bitset over the sources, packed
+    Row v of `seen` and `reached` is a bitset over the sources, packed
     in uint64 words: bit s is set once source s has reached v. Each level
-    ORs the frontier rows of every vertex's neighbours (one `reduceat`
-    over the CSR neighbour lists of the vertices of nonzero degree) and
-    keeps the bits not yet seen. Bit b of a pair's hop count is kept in
-    `planes[b]`, so the n x n matrix is unpacked once per bit, not once
-    per level; pairs never reached get every bit, the unreachable mark.
+    ORs the `reached` rows of every vertex's neighbours (one `reduceat`
+    over CSR lists; an isolated vertex is its own neighbour and reaches
+    nothing) and keeps the bits not yet seen. Bit b of a pair's hop count
+    is kept in `planes[b]`, so the n x n matrix is unpacked once per bit,
+    not once per level; pairs never reached get every bit, the
+    unreachable mark.
     """
     n = g.n
     words = -(-n // 64)
     pairs = np.array(g.undirected_pairs(), dtype=np.intp).reshape(-1, 2)
-    ends = np.concatenate([pairs, pairs[:, ::-1]])
+    isolated = np.flatnonzero(np.bincount(pairs.ravel(), minlength=n) == 0)
+    ends = np.concatenate([pairs, pairs[:, ::-1],
+                           np.column_stack([isolated, isolated])])
     ends = ends[np.argsort(ends[:, 0])]
-    active, starts = np.unique(ends[:, 0], return_index=True)
+    starts = np.searchsorted(ends[:, 0], np.arange(n))
     nbr = ends[:, 1]
     # Bits are set and read by byte, so the word order of the machine
     # does not matter.
     diagonal = np.arange(n)
-    frontier = np.zeros((n, 8 * words), np.uint8)
-    frontier[diagonal, diagonal >> 3] = 1 << (diagonal & 7)
-    frontier = frontier.view(np.uint64)
-    seen = frontier.copy()
+    reached = np.zeros((n, 8 * words), np.uint8)
+    reached[diagonal, diagonal >> 3] = 1 << (diagonal & 7)
+    reached = reached.view(np.uint64)
+    seen = reached.copy()
     planes: list[np.ndarray] = []
     level = 0
-    while nbr.size:  # without edges no source gets past level 0
-        reached = np.bitwise_or.reduceat(frontier[nbr], starts, axis=0)
-        reached &= ~seen[active]
+    while True:
+        reached = np.bitwise_or.reduceat(reached[nbr], starts, axis=0)
+        reached &= ~seen
         if not reached.any():
             break
         level += 1
-        seen[active] |= reached
-        frontier[active] = reached
+        seen |= reached
         if level >> len(planes):
             planes.append(np.zeros_like(seen))
         for b, plane in enumerate(planes):
             if level >> b & 1:
-                plane[active] |= reached
+                plane |= reached
     dtype = np.min_scalar_type(level + 1)
 
     def unpacked(bitsets: np.ndarray) -> np.ndarray:
@@ -219,21 +221,19 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
 
 def _finite_max(histogram: np.ndarray) -> int:
     """The largest hop count with a pair: the last nonzero bucket below
-    the unreachable mark."""
+    the unreachable mark; 0 when no pair is connected."""
     finite = np.flatnonzero(histogram[1:-1])
-    if finite.size == 0:
-        raise NoFinitePairs("every vertex pair is disconnected")
-    return int(finite[-1]) + 1
+    return int(finite[-1]) + 1 if finite.size else 0
 
 
 def _harmonic_mean(histogram: np.ndarray) -> float:
     """P / sum(1/h) over the P pairs, unreachable ones adding nothing to
-    the sum; inf when no pair is connected. The sum is taken exactly, over
-    the least common multiple of the hop counts, and the quotient of the
-    two integers is rounded once."""
+    the sum; inf when no pair is connected, 0.0 without a pair. The sum
+    is taken exactly, over the least common multiple of the hop counts,
+    and the quotient of the two integers is rounded once."""
     hops = (np.flatnonzero(histogram[1:-1]) + 1).tolist()
     if not hops:
-        return math.inf
+        return math.inf if histogram.any() else 0.0
     common = math.lcm(*hops)
     total = sum(count * (common // h)
                 for h, count in zip(hops, histogram[hops].tolist()))
@@ -492,26 +492,18 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     `baseline`, the coverage denominator, is the property count of the
     register's full graph; without one, coverage reads 0.
 
-    Degenerate cases collapse to zeros: a graph with no finite pair has
-    d_max 0, fewer than two vertices give d_harm 0, fewer than two
-    located vertices give rho_d NaN.
+    Every graph takes this one path: a graph with no connected pair has
+    d_max 0, one with no pair at all (fewer than two vertices) d_harm 0,
+    and fewer than two located vertices give rho_d NaN.
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
-    if g.n < 2:
-        return GraphSummary(
-            n=g.n, m=g.m, delta=0.0, property_count=properties,
-            property_coverage=coverage, components=len(g.components()),
-            d_max=0, d_harm=0.0, rho_d=math.nan)
     if pairs is None:
         pairs = pair_distances(g)
-    try:
-        d_max = _finite_max(pairs.histogram)
-    except NoFinitePairs:
-        d_max = 0
     rho = (math.nan if pairs.located is None
            else rank_correlation(*pairs.located))
     return GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),
-        d_max=d_max, d_harm=_harmonic_mean(pairs.histogram), rho_d=rho)
+        d_max=_finite_max(pairs.histogram),
+        d_harm=_harmonic_mean(pairs.histogram), rho_d=rho)

@@ -264,6 +264,9 @@ def _cached_edge(row: Any) -> Edge:
     if origin not in _ORIGINS:
         raise MalformedRecord(
             f"edge {source!r}->{target!r} has origin {origin!r}")
+    if not isinstance(binding, (str, type(None))):
+        raise MalformedRecord(
+            f"edge {source!r}->{target!r} has target_segment {binding!r}")
     return Edge(source, target, NormalizedType(etype), origin, binding)
 
 

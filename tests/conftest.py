@@ -107,7 +107,7 @@ def hop_matrix(g: ConfrontGraph) -> np.ndarray:
 
 
 def finite_diameter(g: ConfrontGraph) -> int:
-    """d_max over every pair; NoFinitePairs when none is connected."""
+    """d_max over every pair; 0 when none is connected."""
     return metrics._finite_max(metrics.pair_distances(g).histogram)
 
 

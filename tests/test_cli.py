@@ -212,6 +212,22 @@ def measure_each(monkeypatch):
         result for g in graphs for result in real([g], baseline, profile)])
 
 
+def test_measure_reuses_a_result_only_for_an_equal_graph(count_calls):
+    """A graph with the vertices and edges of an earlier one, in the same
+    order, takes over its result whatever its method; the same vertices
+    in another order are measured again."""
+    g = make_graph([(0, 1), (1, 2)],
+                   coords={i: (float(i), 0.0) for i in range(3)})
+    labelled = ConfrontGraph(g.vertices.values(), g.edges,
+                             method=ExtractionMethod.from_code("EFS_all"))
+    reordered = ConfrontGraph(reversed(list(g.vertices.values())), g.edges)
+    measured = count_calls(cli, "_row_and_profile")
+    results = cli._measure([g, labelled, reordered], None, True)
+    assert [id(graph) for graph in measured] == [id(g), id(reordered)]
+    assert results[1] is results[0]
+    assert results[2] is not results[0]
+
+
 def test_extract_all_summarizes_equal_variants_once(
         capsys, monkeypatch, count_calls, avignon_shaped_files, tmp_path):
     """`extract --all` summarizes 15 of its 17 graphs and reuses the rows
@@ -600,6 +616,36 @@ def test_each_command_groups_equal_records_once(capsys, db_files, tmp_path,
     assert len(groupings) == 1
 
 
+def test_stats_all_measures_each_variant_before_extracting_the_next(
+        capsys, db_files, tmp_path, monkeypatch):
+    """`stats --all` measures each variant as `extract_each` yields it:
+    a variant's hop pass comes before the next variant's
+    `handle_nonpunctual`, so no two variants wait to be measured."""
+    events = []
+    stage = EXTRACT.handle_nonpunctual
+    search = metrics.all_pairs_graph_distance
+
+    def staged(g, db, method):
+        events.append(("extract", method.code))
+        return stage(g, db, method)
+
+    def searched(g):
+        events.append(("hops", g.method.code if g.method else "full"))
+        return search(g)
+
+    monkeypatch.setattr(EXTRACT, "handle_nonpunctual", staged)
+    monkeypatch.setattr(metrics, "all_pairs_graph_distance", searched)
+    run_measuring(capsys, db_files, tmp_path, ("stats", "--all", "--k", "1"))
+    assert [code for kind, code in events if kind == "extract"] == list(
+        METHOD_CODES)
+    # Each hop pass with the code of the last variant extracted before it.
+    searches = [(code, [c for k, c in events[:i] if k == "extract"][-1:])
+                for i, (kind, code) in enumerate(events) if kind == "hops"]
+    assert searches[0] == ("full", [])
+    assert len(searches) > 2
+    assert all([code] == last for code, last in searches[1:])
+
+
 @pytest.mark.parametrize("argv,option", [
     (("extract", "--method", "EFS_k", "--k", "-1", "--out", "x"), "--k"),
     (("extract", "--all", "--k", "1", "--threshold", "0", "--out", "x"),
@@ -755,14 +801,16 @@ def test_dump_normalization(capsys):
     (["vertices", 0, 7], 1), (["vertices", 0, 8], ["s0"]),
     (["edges", 0, 3], "Secondary"), (["method", "k"], 7.5),
     (["method", "k"], True), (["method", "component_threshold"], 25.0),
-    (["method", "code"], 5),
+    (["method", "code"], 5), (["edges", 0, 4], 5), (["edges", 0, 4], ["s0"]),
+    (["edges", 0, 4], True), (["edges", 0, 4], {"a": 1}),
 ], ids=["meta-list", "meta-string", "coord-3", "coord-string", "coord-nan",
         "edge-to-missing-vertex", "property-without-flag",
         "property-flag-not-a-boolean", "flag-without-property-kind",
         "id-not-a-string", "parish-list", "parish-number", "walls-yes",
         "walls-false-string", "source-object-number", "source-segment-list",
         "unknown-edge-origin", "k-float", "k-bool", "threshold-float",
-        "method-code-number"])
+        "method-code-number", "binding-number", "binding-list",
+        "binding-bool", "binding-object"])
 def test_a_corrupt_cache_is_a_located_data_error(capsys, tmp_path, command,
                                                  where, value):
     graphs = tmp_path / "graphs"

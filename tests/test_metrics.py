@@ -40,7 +40,7 @@ from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
                       synthetic_database)
 from register_writer import save_database
 from confront_net import cli, metrics
-from confront_net.errors import InsufficientCoordinates, NoFinitePairs
+from confront_net.errors import InsufficientCoordinates
 from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge
 from confront_net.metrics import (DistanceProfile, ProfileBucket,
@@ -177,8 +177,7 @@ def test_finite_diameter_skips_disconnected_pairs():
 
 
 def test_finite_diameter_requires_a_finite_pair():
-    with pytest.raises(NoFinitePairs):
-        finite_diameter(make_graph([], n=3))
+    assert finite_diameter(make_graph([], n=3)) == 0
 
 
 def test_harmonic_mean_on_path_of_three():
@@ -356,8 +355,11 @@ def test_summarize_degenerate_graphs():
     empty = summarize(ConfrontGraph([], []))
     assert (empty.n, empty.m, empty.components, empty.d_max) == (0, 0, 0, 0)
     assert empty.d_harm == 0.0 and math.isnan(empty.rho_d)
-    single = summarize(make_graph([], n=1))
-    assert single.n == 1 and single.d_harm == 0.0
+    single = summarize(make_graph([], n=1), baseline=2)
+    assert (single.n, single.m, single.delta, single.property_count,
+            single.property_coverage, single.components, single.d_max,
+            single.d_harm) == (1, 0, 0.0, 1, 0.5, 1, 0, 0.0)
+    assert math.isnan(single.rho_d)
 
     no_finite = summarize(make_graph([], n=3))
     assert no_finite.d_max == 0
@@ -475,11 +477,7 @@ def test_single_pass_statistics_equal_the_seed_formulas(build):
         assert math.isnan(rho)
     else:
         assert rho == pytest.approx(exact_rho, abs=1e-12)
-    if d_max:
-        assert finite_diameter(g) == d_max
-    else:
-        with pytest.raises(NoFinitePairs):
-            finite_diameter(g)
+    assert finite_diameter(g) == d_max
     assert harmonic_mean_distance(g) == exact_harm
     if profile is None:
         with pytest.raises(InsufficientCoordinates):
@@ -934,17 +932,29 @@ def test_cli_import_leaves_out_every_scipy_module():
 
 
 def test_stats_profile_runs_without_scipy(tmp_path):
-    save_database(synthetic_database(0), tmp_path / "objects.csv",
+    """`stats --profile` imports no scipy module. The second run's
+    variant keeps isolated vertices; on numpy 2 or later, where `numpy.ma`
+    loads lazily, neither run loads it."""
+    db = synthetic_database(0)
+    save_database(db, tmp_path / "objects.csv",
                   tmp_path / "relations.csv", tmp_path / "segments.csv")
-    argv = ["stats", "--objects", str(tmp_path / "objects.csv"),
-            "--relations", str(tmp_path / "relations.csv"),
-            "--segments", str(tmp_path / "segments.csv"),
-            "--method", "EFS_k", "--k", "2", "--threshold", "4",
-            "--out", str(tmp_path / "stats.csv"), "--profile"]
-    run = run_python(
-        "import sys; sys.modules['scipy'] = None; "
-        "from confront_net import cli; "
-        f"sys.exit(cli.main({argv!r}))")
-    assert run.returncode == 0, run.stderr
-    assert (tmp_path / "stats.csv").exists()
-    assert (tmp_path / "profile_EFS_k.csv").exists()
+    isolated = extract(merge_equal_objects(db), ExtractionMethod.from_code(
+        "RFW_k", k=2, component_threshold=1))
+    assert min(map(len, isolated.components())) == 1
+    lazy_ma = int(np.__version__.split(".")[0]) >= 2
+    for method, threshold in (("EFS_k", "4"), ("RFW_k", "1")):
+        argv = ["stats", "--objects", str(tmp_path / "objects.csv"),
+                "--relations", str(tmp_path / "relations.csv"),
+                "--segments", str(tmp_path / "segments.csv"),
+                "--method", method, "--k", "2", "--threshold", threshold,
+                "--out", str(tmp_path / f"{method}.csv"), "--profile"]
+        run = run_python(
+            "import sys; sys.modules['scipy'] = None; "
+            "from confront_net import cli; "
+            f"code = cli.main({argv!r}); "
+            "print('numpy.ma' in sys.modules); sys.exit(code)")
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / f"{method}.csv").exists()
+        assert (tmp_path / f"profile_{method}.csv").exists()
+        if lazy_ma:
+            assert run.stdout == "False\n"
