@@ -24,13 +24,11 @@ from pathlib import Path
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
-from .errors import (ConfrontNetError, EmptyResult, InsufficientCoordinates,
-                     MalformedRecord)
+from .errors import ConfrontNetError, EmptyResult, MalformedRecord
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
                       ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
-from .metrics import (DistanceProfile, GraphSummary, distance_profile,
-                      pair_distances, summarize)
+from .metrics import DistanceProfile, GraphSummary, measure
 from .normalize import merge_equal_objects, normalization_rows
 from .relation_types import TABLE_VERSION
 from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
@@ -222,10 +220,11 @@ def _stats_row(label: str, s: GraphSummary) -> list[str]:
 
 
 def _render_csv(header: tuple[str, ...], rows: list[list[str]],
-                manifest_hash: str | None) -> bytes:
+                comment: str | None) -> bytes:
+    """The table as CSV bytes, below a `# comment` line when given."""
     buf = io.StringIO()
-    if manifest_hash is not None:
-        buf.write(f"# manifest: {manifest_hash}\n")
+    if comment is not None:
+        buf.write(f"# {comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -239,34 +238,28 @@ def _emit(data: bytes, out: Path | None) -> None:
         atomic_write_bytes(out, data)
 
 
+def _write_table(header: tuple[str, ...], rows: list[list[str]],
+                 manifest: dict, out: Path | None) -> None:
+    """A command's table, to stdout or to `out`; a file is stamped with
+    the manifest hash and gets the manifest beside it."""
+    comment = None if out is None else f"manifest: {manifest['manifest_hash']}"
+    _emit(_render_csv(header, rows, comment), out)
+    if out is not None:
+        _write_manifest(manifest, out.with_name(out.name + ".manifest.json"))
+
+
 def _warn_empty(label: str) -> None:
     print(f"warning: graph {label!r} is empty; reporting zeros",
           file=sys.stderr)
 
 
-def _row_and_profile(
-        g: ConfrontGraph, baseline: int | None, profile: bool
-) -> tuple[GraphSummary, DistanceProfile | None]:
-    """One graph's row and, with `profile`, its distance profile (None
-    with fewer than 2 located vertices). One hop pass feeds both; its
-    pairs go when this returns, before the next graph's."""
-    if not profile:
-        return summarize(g, baseline), None
-    pairs = pair_distances(g)
-    summary = summarize(g, baseline, pairs)
-    try:
-        return summary, distance_profile(g, pairs)
-    except InsufficientCoordinates:
-        return summary, None
-
-
 def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
              profile: bool
              ) -> list[tuple[GraphSummary, DistanceProfile | None]]:
-    """`_row_and_profile` of each graph, taken one at a time. A graph
-    equal to an earlier one (vertex order included: a profile sums its
-    metres in pair order) takes over that one's result. Only what graph
-    equality compares is kept, not the graph with its index and pairs."""
+    """`measure` of each graph, taken one at a time. A graph equal to an
+    earlier one (vertex order included: a profile sums its metres in
+    pair order) takes over that one's result. Only what graph equality
+    compares is kept, not the graph with its index and pairs."""
     done: list[tuple[tuple, tuple[GraphSummary, DistanceProfile | None]]] = []
     results = []
     for g in graphs:
@@ -275,7 +268,7 @@ def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
             if seen == key:
                 break
         else:
-            result = _row_and_profile(g, baseline, profile)
+            result = measure(g, baseline, profile)
             done.append((key, result))
         results.append(result)
     return results
@@ -298,7 +291,8 @@ def cmd_extract(args: argparse.Namespace,
         rows = [_stats_row(label, summary)
                 for label, summary in zip(["full", *codes], summaries)]
         atomic_write_bytes(args.out / "stats.csv",
-                           _render_csv(STATS_COLUMNS, rows, mhash))
+                           _render_csv(STATS_COLUMNS, rows,
+                                       f"manifest: {mhash}"))
     render = graphml_bytes if args.format == "graphml" else gexf_bytes
     for i, (code, g) in enumerate(zip(codes, graphs), 1):
         atomic_write_bytes(args.out / f"{code}.{args.format}",
@@ -335,7 +329,6 @@ def cmd_stats(args: argparse.Namespace,
                             full.property_count(), args.profile)
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, labels, parameters)
-    mhash = manifest["manifest_hash"]
     if args.profile:
         for label, (_, profile) in zip(labels, measured):
             if profile is None:
@@ -346,11 +339,7 @@ def cmd_stats(args: argparse.Namespace,
             _warn_empty(label)
     rows = [_stats_row(label, summary)
             for label, (summary, _) in zip(labels, measured)]
-    _emit(_render_csv(STATS_COLUMNS, rows,
-                      mhash if args.out is not None else None), args.out)
-    if args.out is not None:
-        _write_manifest(manifest,
-                        args.out.with_name(args.out.name + ".manifest.json"))
+    _write_table(STATS_COLUMNS, rows, manifest, args.out)
     for label, (_, profile) in zip(labels, measured):
         if profile is not None:  # graph_distance: a whole number or inf
             atomic_write_bytes(
@@ -360,7 +349,8 @@ def cmd_stats(args: argparse.Namespace,
                             [[_fmt_float(b.graph_distance, 0), str(b.count),
                               _fmt_float(b.mean_spatial, 3),
                               _fmt_float(b.std_spatial, 3)]
-                             for b in profile.buckets], mhash))
+                             for b in profile.buckets],
+                            f"manifest: {manifest['manifest_hash']}"))
     return 0
 
 
@@ -379,13 +369,8 @@ def cmd_sweep(args: argparse.Namespace,
     rows = [[str(p.k), str(p.coverage), _fmt_float(p.rho, 4),
              str(p.summary.n), str(p.summary.m), str(p.summary.components),
              _fmt_float(p.summary.d_harm, 2)] for p in points]
-    _emit(_render_csv(("k", "coverage", "rho", "n", "m", "components",
-                       "d_harm"), rows,
-                      manifest["manifest_hash"] if args.out else None),
-          args.out)
-    if args.out is not None:
-        _write_manifest(manifest,
-                        args.out.with_name(args.out.name + ".manifest.json"))
+    _write_table(("k", "coverage", "rho", "n", "m", "components", "d_harm"),
+                 rows, manifest, args.out)
     best = select_best(points)
     print(f"selected k={best.k} coverage={best.coverage} "
           f"rho={_fmt_float(best.rho, 4) or 'nan'}")
@@ -407,6 +392,7 @@ def cmd_communities(args: argparse.Namespace,
         "communities", args, methods,
         {"seed": args.seed, "k": args.k, "threshold": args.threshold})
     mhash = manifest["manifest_hash"]
+    mark = f"manifest: {mhash}"
 
     partition = louvain(g, seed=args.seed)
     stats = community_stats(g, partition)
@@ -414,7 +400,7 @@ def cmd_communities(args: argparse.Namespace,
 
     atomic_write_bytes(args.out / "partition.csv", _render_csv(
         ("vertex_id", "community"),
-        [[vid, str(c)] for vid, c in partition.assignment.items()], mhash))
+        [[vid, str(c)] for vid, c in partition.assignment.items()], mark))
     atomic_write_bytes(args.out / "community_stats.csv", _render_csv(
         ("community", "n", "m", "delta", "properties", "share", "d_max",
          "d_harm", "rho_d"),
@@ -422,23 +408,23 @@ def cmd_communities(args: argparse.Namespace,
           str(s.property_count),
           _fmt_float(100.0 * (s.property_count / s.n), 2),
           str(s.d_max), _fmt_float(s.d_harm, 2), _fmt_float(s.rho_d, 2)]
-         for c, s in enumerate(stats, 1)], mhash))
+         for c, s in enumerate(stats, 1)], mark))
     atomic_write_bytes(args.out / "community_network.gexf",
                        community_gexf_bytes(network, mhash))
     atomic_write_bytes(args.out / "composition_kinds.csv", _render_csv(
         ("community", "kind", "count"),
         [[str(node.community), kind, str(count)] for node in network.nodes
-         for kind, count in node.kind_counts.items()], mhash))
+         for kind, count in node.kind_counts.items()], mark))
     atomic_write_bytes(args.out / "composition_parishes.csv", _render_csv(
         ("community", "parish", "count"),
         [[str(node.community), parish, str(count)]
          for node in network.nodes
-         for parish, count in node.parish_counts.items()], mhash))
+         for parish, count in node.parish_counts.items()], mark))
     atomic_write_bytes(args.out / "composition_walls.csv", _render_csv(
         ("community", "inside", "outside", "unknown"),
         [[str(node.community), str(node.walls_inside),
           str(node.walls_outside), str(node.walls_unknown)]
-         for node in network.nodes], mhash))
+         for node in network.nodes], mark))
     _write_manifest(manifest, args.out / "manifest.json")
 
     levels = " -> ".join(f"{q:.4f}" for q in partition.level_modularities)
@@ -454,13 +440,9 @@ def cmd_dump_normalization(args: argparse.Namespace,
                            parser: argparse.ArgumentParser) -> int:
     rows = [[r["raw_type"], r["translation"], r["default"], r["surface"],
              r["street"]] for r in normalization_rows()]
-    buf = io.StringIO()
-    buf.write(f"# normalization table v{TABLE_VERSION}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("raw_type", "translation", "default", "surface",
-                     "street"))
-    writer.writerows(rows)
-    _emit(buf.getvalue().encode(), args.out)
+    _emit(_render_csv(("raw_type", "translation", "default", "surface",
+                       "street"), rows,
+                      f"normalization table v{TABLE_VERSION}"), args.out)
     return 0
 
 

@@ -57,9 +57,5 @@ class EmptyResult(ConfrontNetError):
     """A single --method's variant or a graph to partition is empty."""
 
 
-class InsufficientCoordinates(ConfrontNetError):
-    """Fewer than two located vertices; spatial statistics are undefined."""
-
-
 class UncoveredVertex(ConfrontNetError):
     """A partition is missing an assignment for some graph vertex."""

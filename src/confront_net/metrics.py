@@ -4,15 +4,16 @@ Everything runs on the collapsed undirected simple view except density,
 which uses the directed edge count. Distances are unweighted hops,
 held from the search to the last statistic as unsigned integers whose
 type's maximum (`_unreachable`) marks an unreachable pair; that mark
-counts as an infinite distance. One hop pass per graph; every statistic
-derives from it: `pair_distances` runs the all-pairs search once and
-keeps the hop histogram of every pair, from which d_max and d_harm
-come, and the (hops, metres) vectors of the located pairs, from which
-rho_d and the distance profile come. The search is a breadth-first
-search from every source at once over packed bitsets (Then et al., "The
-More the Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4),
-2014), in numpy alone. Spatial statistics (rank correlation, distance
-profile) consider only vertex pairs where both ends carry coordinates.
+counts as an infinite distance. One hop pass per graph, in `measure`;
+every statistic derives from it: `pair_distances` runs the all-pairs
+search once and keeps the hop histogram of every pair, from which
+d_max and d_harm come, and the (hops, metres) vectors of the located
+pairs, from which rho_d and the distance profile come. The search is a
+breadth-first search from every source at once over packed bitsets
+(Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal", PVLDB 8(4), 2014), in numpy alone. Spatial statistics
+(rank correlation, distance profile) consider only vertex pairs where
+both ends carry coordinates.
 
 d_harm and rho_d are computed from exact integer sums and rounded once:
 d_harm over the hop buckets, rho_d from doubled average ranks, whose
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientCoordinates
 from .graph import ConfrontGraph
 
 #: Values per `np.bincount` call (its intp copy takes 512 KiB).
@@ -82,9 +82,6 @@ class ProfileBucket:
 @dataclass(frozen=True)
 class DistanceProfile:
     buckets: tuple[ProfileBucket, ...]  # finite ascending, infinite last
-
-    def pair_count(self) -> int:
-        return sum(b.count for b in self.buckets)
 
 
 @dataclass(frozen=True)
@@ -456,26 +453,18 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return _ratio_to_root(size * cross - square_of_sum, var_x * var_y)
 
 
-def distance_profile(g: ConfrontGraph,
-                     pairs: PairDistances | None = None) -> DistanceProfile:
-    """Mean and std of the spatial distance per hop count; `pairs`, when
-    given, is the graph's `pair_distances` result, reused as is.
+def distance_profile(hops: np.ndarray, metres: np.ndarray) -> DistanceProfile:
+    """Mean and std of the spatial distance per hop count, over the
+    located pair vectors of `pair_distances`.
 
-    Each bucket's metres are picked by a mask, `spatial[hops == h]`, in
+    Each bucket's metres are picked by a mask, `metres[hops == h]`, in
     the pairs' own order, ascending in h, so the unreachable bucket is
     last. Only one mask and one bucket are held at a time.
     """
-    if pairs is None:
-        pairs = pair_distances(g)
-    if pairs.located is None:
-        have = sum(1 for v in g.vertices.values() if v.coord is not None)
-        raise InsufficientCoordinates(
-            f"need at least 2 located vertices, have {have}")
-    graph_d, spatial = pairs.located
-    mark = _unreachable(graph_d)
+    mark = _unreachable(hops)
     buckets = []
-    for h in np.flatnonzero(_blocked_bincount(graph_d, mark + 1)).tolist():
-        sel = spatial[graph_d == h]
+    for h in np.flatnonzero(_blocked_bincount(hops, mark + 1)).tolist():
+        sel = metres[hops == h]
         with np.errstate(over="ignore", invalid="ignore"):  # infinite metres
             mean, std = float(sel.mean()), float(sel.std())
         buckets.append(ProfileBucket(
@@ -484,10 +473,12 @@ def distance_profile(g: ConfrontGraph,
     return DistanceProfile(tuple(buckets))
 
 
-def summarize(g: ConfrontGraph, baseline: int | None = None,
-              pairs: PairDistances | None = None) -> GraphSummary:
-    """The full statistic row for one graph, from one hop pass (`pairs`,
-    when given, is the graph's `pair_distances` result, reused as is).
+def measure(g: ConfrontGraph, baseline: int | None = None,
+            profile: bool = False
+            ) -> tuple[GraphSummary, DistanceProfile | None]:
+    """The full statistic row for one graph and, with `profile`, its
+    distance profile, from one hop pass. The profile is None without
+    `profile` or with fewer than two located vertices.
 
     `baseline`, the coverage denominator, is the property count of the
     register's full graph; without one, coverage reads 0.
@@ -498,12 +489,19 @@ def summarize(g: ConfrontGraph, baseline: int | None = None,
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
-    if pairs is None:
-        pairs = pair_distances(g)
-    rho = (math.nan if pairs.located is None
-           else rank_correlation(*pairs.located))
-    return GraphSummary(
+    pairs = pair_distances(g)
+    located = pairs.located
+    summary = GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),
         d_max=_finite_max(pairs.histogram),
-        d_harm=_harmonic_mean(pairs.histogram), rho_d=rho)
+        d_harm=_harmonic_mean(pairs.histogram),
+        rho_d=math.nan if located is None else rank_correlation(*located))
+    if not profile or located is None:
+        return summary, None
+    return summary, distance_profile(*located)
+
+
+def summarize(g: ConfrontGraph, baseline: int | None = None) -> GraphSummary:
+    """The statistic row of `measure`, without a profile."""
+    return measure(g, baseline)[0]

@@ -221,7 +221,7 @@ def test_measure_reuses_a_result_only_for_an_equal_graph(count_calls):
     labelled = ConfrontGraph(g.vertices.values(), g.edges,
                              method=ExtractionMethod.from_code("EFS_all"))
     reordered = ConfrontGraph(reversed(list(g.vertices.values())), g.edges)
-    measured = count_calls(cli, "_row_and_profile")
+    measured = count_calls(cli, "measure")
     results = cli._measure([g, labelled, reordered], None, True)
     assert [id(graph) for graph in measured] == [id(g), id(reordered)]
     assert results[1] is results[0]
@@ -233,7 +233,7 @@ def test_extract_all_summarizes_equal_variants_once(
     """`extract --all` summarizes 15 of its 17 graphs and reuses the rows
     of the two equal variants; stats.csv keeps every byte of a run that
     summarizes each graph."""
-    calls = count_calls(cli, "summarize")
+    calls = count_calls(cli, "measure")
     argv = ["extract", *avignon_shaped_files, "--all", "--k", "7", "--out"]
     assert run(capsys, *argv, str(tmp_path / "reused"))[0] == 0
     assert len(calls) == 15
@@ -248,7 +248,7 @@ def test_stats_all_profiles_equal_variants_once(
         capsys, monkeypatch, count_calls, avignon_shaped_files, tmp_path):
     """`stats --all --profile` reuses the row and the profile of an equal
     earlier variant; every file keeps its bytes."""
-    calls = count_calls(cli, "distance_profile")
+    calls = count_calls(metrics, "distance_profile")
     outputs = {}
     for name in ("reused", "each"):
         if name == "each":

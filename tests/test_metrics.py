@@ -14,6 +14,7 @@ boundaries, on disconnected graphs and on paths long enough to need
 16-bit hops; scipy is a test-only dependency, and the package runs
 without it."""
 
+import dataclasses
 import math
 import os
 import random
@@ -40,10 +41,9 @@ from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
                       synthetic_database)
 from register_writer import save_database
 from confront_net import cli, metrics
-from confront_net.errors import InsufficientCoordinates
 from confront_net.extract import ExtractionMethod, extract
 from confront_net.graph import ConfrontGraph, Edge
-from confront_net.metrics import (DistanceProfile, ProfileBucket,
+from confront_net.metrics import (DistanceProfile, GraphSummary, ProfileBucket,
                                   all_pairs_graph_distance, density,
                                   distance_profile, rank_correlation,
                                   summarize)
@@ -282,8 +282,7 @@ def test_spearman_distance_ignores_unlocated_vertices():
 def test_spearman_distance_needs_two_located_vertices():
     g = make_graph([(0, 1)], coords={0: (0.0, 0.0)})
     assert math.isnan(summarize(g).rho_d)
-    with pytest.raises(InsufficientCoordinates):
-        distance_profile(g)
+    assert metrics.measure(g, profile=True)[1] is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -311,20 +310,20 @@ def test_distance_profile_hand_case():
     g = make_graph([(0, 1), (1, 2)], n=4,
                    coords={0: (0.0, 0.0), 1: (3.0, 0.0), 2: (3.0, 4.0),
                            3: (10.0, 10.0)})
-    profile = distance_profile(g)
+    profile = metrics.measure(g, profile=True)[1]
     assert [b.graph_distance for b in profile.buckets] == [1.0, 2.0, math.inf]
     h1, h2, hinf = profile.buckets
     assert h1.count == 2 and h1.mean_spatial == 3.5 and h1.std_spatial == 0.5
     assert h2.count == 1 and h2.mean_spatial == 5.0 and h2.std_spatial == 0.0
     assert hinf.count == 3
-    assert profile.pair_count() == 6
+    assert sum(b.count for b in profile.buckets) == 6
 
 
 def test_distance_profile_spatial_mean_grows_with_hops_on_a_line():
     n = 12
     g = make_graph([(i, i + 1) for i in range(n - 1)],
                    coords={i: (float(3 * i), 0.0) for i in range(n)})
-    profile = distance_profile(g)
+    profile = metrics.measure(g, profile=True)[1]
     means = [b.mean_spatial for b in profile.buckets]
     assert means == sorted(means)
     assert all(b.std_spatial == 0.0 for b in profile.buckets)
@@ -480,11 +479,10 @@ def test_single_pass_statistics_equal_the_seed_formulas(build):
     assert finite_diameter(g) == d_max
     assert harmonic_mean_distance(g) == exact_harm
     if profile is None:
-        with pytest.raises(InsufficientCoordinates):
-            distance_profile(g)
+        assert metrics.measure(g, profile=True)[1] is None
     else:
         assert same(spearman_distance_correlation(g), exact_rho)
-        assert distance_profile(g) == profile
+        assert metrics.measure(g, profile=True)[1] == profile
 
 
 # Hop counts (small integers and inf) and arbitrary metres, tied or not;
@@ -672,7 +670,7 @@ def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
     pairs = metrics.pair_distances(g)
     assert pairs.located[0].dtype == np.uint16
     assert pairs.histogram.size == 2 ** 16
-    profile = distance_profile(g)
+    profile = metrics.measure(g, profile=True)[1]
     assert profile.buckets[-1].graph_distance == math.inf
     assert profile.buckets[-1].count == n
     assert profile == seed_era_statistics(g)[3]
@@ -745,8 +743,9 @@ def test_rank_correlation_peak_memory_per_pair(large_located_pairs):
 def test_distance_profile_peak_memory_per_pair(large_located_pairs):
     """`distance_profile` holds one bucket mask, one byte per pair, and
     one bucket's metres at a time."""
-    g, pairs = large_located_pairs
-    assert peak_bytes(distance_profile, g, pairs) < 8 * pairs.located[0].size
+    _, pairs = large_located_pairs
+    hops, metres = pairs.located
+    assert peak_bytes(distance_profile, hops, metres) < 8 * hops.size
 
 
 def test_cli_import_leaves_out_scipy_stats():
@@ -772,6 +771,42 @@ def test_summarize_makes_one_hop_pass(hop_passes, seed):
     g = random_graph(random.Random(seed), max_n=30, with_coords=True)
     summarize(g, baseline=10)
     assert hop_passes == [g]
+
+
+MEASURED_GRAPHS = (
+    [pytest.param(lambda: make_graph([(0, 1), (1, 2)], n=4, coords={
+        0: (0.0, 0.0), 1: (3.0, 0.0), 2: (3.0, 4.0), 3: (10.0, 10.0)}),
+        id="located"),
+     pytest.param(lambda: make_graph([(0, 1), (1, 2)],
+                                     coords={0: (0.0, 0.0)}),
+                  id="one-located"),
+     pytest.param(lambda: make_graph([]), id="empty")]
+    + [pytest.param(lambda s=s: random_graph(random.Random(s), max_n=30,
+                                             with_coords=True),
+                    id=f"random{s}")
+       for s in range(5)])
+
+
+@pytest.mark.parametrize("build", MEASURED_GRAPHS)
+def test_measure_gives_the_summarize_row_and_profile_from_one_pass(
+        hop_passes, build):
+    """With `profile`, `measure` makes one hop pass; its row is the row
+    of `summarize`, field for field; the profile is None without
+    `profile`, and with fewer than 2 located vertices, where rho_d is
+    NaN."""
+    g = build()
+    row, profile = metrics.measure(g, 10, profile=True)
+    assert hop_passes == [g]
+    want = summarize(g, 10)
+    for field in dataclasses.fields(GraphSummary):
+        assert same_bits(getattr(row, field.name), getattr(want, field.name))
+    located = sum(v.coord is not None for v in g.vertices.values())
+    assert (profile is None) == (located < 2)
+    if located < 2:
+        assert math.isnan(row.rho_d)
+    else:
+        assert profile == distance_profile(*metrics.pair_distances(g).located)
+    assert metrics.measure(g, 10)[1] is None
 
 
 def test_stats_profile_makes_one_hop_pass_per_graph(hop_passes, tmp_path,
