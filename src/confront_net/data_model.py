@@ -288,10 +288,10 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_enum(enum_cls: type[Enum], raw: str) -> Any:
-    for member in enum_cls:
-        if member.value == raw:
-            return member
-    choices = ", ".join(m.value for m in enum_cls)
+    try:
+        return enum_cls(raw)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum_cls)
     raise MalformedRecord(f"expected one of {choices}, got {raw!r}")
 
 
@@ -467,10 +467,10 @@ def _json_field(rec: dict, owner: str, name: str, kind: type = str,
     if value is None and not required:
         return None
     if issubclass(kind, Enum):
-        members = {m.value: m for m in kind}
-        if isinstance(value, str) and value in members:
-            return members[value]
-        want = "one of " + ", ".join(members)
+        try:
+            return kind(value)
+        except ValueError:  # for a list or an object too
+            want = "one of " + ", ".join(m.value for m in kind)
     elif kind is float:
         number = _number(value)
         if number is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .data_model import (Database, Dimensionality, RelationOrigin,
@@ -140,7 +140,7 @@ def filter_hierarchy(g: ConfrontGraph) -> ConfrontGraph:
     membership information)."""
     edges = [e for e in g.edges
              if hierarchy_class(e.type) is not HierarchyClass.HIERARCHICAL]
-    return g.with_edges(edges)
+    return ConfrontGraph(g.vertices.values(), edges, meta=g.meta)
 
 
 def _rank_streets(db: Database) -> list[str]:
@@ -223,19 +223,18 @@ def handle_nonpunctual(g: ConfrontGraph, db: Database,
 
     # No two edges of `g` share (source, target, type), and an edge end
     # moves only onto a segment of its own object: keys stay distinct.
+    # An edge with neither end split is handed on as it is.
     edges: list[Edge] = []
     for e in g.edges:
         if e.source in remove or e.target in remove:
             continue
-        source = e.source
-        target = e.target
-        segment = e.target_segment
-        if source in split:
-            source = _stand_in(db.objects[source], None)
-        if target in split:
-            target = _stand_in(db.objects[target], segment)
-            segment = None
-        edges.append(Edge(source, target, e.type, e.origin, segment))
+        if e.source in split:
+            e = replace(e, source=_stand_in(db.objects[e.source], None))
+        if e.target in split:
+            e = replace(e, target=_stand_in(db.objects[e.target],
+                                            e.target_segment),
+                        target_segment=None)
+        edges.append(e)
     referenced = {vid for e in edges for vid in (e.source, e.target)}
 
     vertices: list[Vertex] = []
@@ -274,30 +273,24 @@ def inject_additional(g: ConfrontGraph, db: Database) -> ConfrontGraph:
         vid = _stand_in(obj, binding)
         return vid if vid in g.vertices else None
 
-    edges = list(g.edges)
-    keys = {e.key() for e in edges}
-    added = 0
-    skipped = 0
+    candidates: list[Edge] = []
+    unresolved = 0
     for rel in db.relations:
         if rel.origin is not RelationOrigin.ADDITIONAL:
             continue
         source = resolve(rel.source_id, None)
         target = resolve(rel.target_id, rel.target_segment)
         if source is None or target is None or source == target:
-            skipped += 1
-            continue
-        edge = Edge(source, target, NormalizedType.RELATED_TO,
-                    EdgeOrigin.ADDITIONAL)
-        if edge.key() in keys:
-            skipped += 1
-            continue
-        keys.add(edge.key())
-        edges.append(edge)
-        added += 1
-    meta = dict(g.meta)
-    meta["additional_added"] = added
-    meta["additional_skipped"] = skipped
-    return g.with_edges(edges, meta=meta)
+            unresolved += 1
+        else:
+            candidates.append(Edge(source, target, NormalizedType.RELATED_TO,
+                                   EdgeOrigin.ADDITIONAL))
+    # Candidates carry no binding, so `g`'s edges are handed on as they are.
+    edges = unique_edges([*g.edges, *candidates])
+    added = len(edges) - g.m
+    meta = {**g.meta, "additional_added": added,
+            "additional_skipped": unresolved + len(candidates) - added}
+    return ConfrontGraph(g.vertices.values(), edges, meta=meta)
 
 
 def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:

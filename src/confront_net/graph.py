@@ -79,11 +79,12 @@ class ConfrontGraph:
                 if endpoint not in self._vertices:
                     raise MalformedRecord(
                         f"edge references missing vertex {endpoint!r}")
-            if e.key() in seen:
+            key = e.key()
+            if key in seen:
                 raise DuplicateId(
                     f"duplicate edge {e.source!r}->{e.target!r} "
                     f"({e.type.value})")
-            seen.add(e.key())
+            seen.add(key)
             if e.type is NormalizedType.ARTIFICIAL_ADJACENCY:
                 s = self._vertices[e.source]
                 t = self._vertices[e.target]
@@ -176,11 +177,6 @@ class ConfrontGraph:
         edges = [e for e in self._edges
                  if e.source in keep and e.target in keep]
         return ConfrontGraph(vertices, edges, meta=self.meta)
-
-    def with_edges(self, edges: Iterable[Edge],
-                   meta: Mapping[str, Any] | None = None) -> "ConfrontGraph":
-        return ConfrontGraph(self._vertices.values(), edges,
-                             meta=meta if meta is not None else self.meta)
 
 
 def connected_components(n: int, pairs: Iterable[tuple[int, int]]

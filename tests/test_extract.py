@@ -430,13 +430,16 @@ def test_injection_skips_duplicates_of_existing_edges():
                        origin=RelationOrigin.ADDITIONAL),
         RelationRecord("ad2", "Z", "Y", "Juxta",
                        origin=RelationOrigin.ADDITIONAL),
+        RelationRecord("ad3", "Z", "Y", "Juxta",
+                       origin=RelationOrigin.ADDITIONAL),
     ]
     db = Database.from_parts(objects, relations)
     g = build_full_graph(db)
     out = inject_additional(g, db)
-    # Y->Z RelatedTo already exists as a primary edge; Z->Y is new.
+    # Y->Z RelatedTo already exists as a primary edge; Z->Y is new, and
+    # ad3 repeats it: it is added once.
     assert out.meta["additional_added"] == 1
-    assert out.meta["additional_skipped"] == 1
+    assert out.meta["additional_skipped"] == 2
     assert out.m == 2
 
 
@@ -601,6 +604,26 @@ def test_span_rule_equals_the_worklist_pruning(seed, monkeypatch):
                 patch.setattr(extract_module, "handle_nonpunctual",
                               prune_oracle.handle_nonpunctual)
                 assert pipeline_outcomes(db, methods) == got
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_variants_hand_on_the_full_graphs_edges(seed):
+    """A variant edge that no stage re-points onto a segment or adds is
+    the full graph's edge object itself."""
+    db = merge_equal_objects(synthetic_database(seed))
+    for code in METHOD_CODES:
+        methods = [method(code, k=7, threshold=t) for t in (1, 4)]
+        try:
+            full, *graphs = extract_each(db, methods)
+        except MissingSegments:
+            continue
+        originals = {id(e) for e in full.edges}
+        for g in graphs:
+            for e in g.edges:
+                if (e.origin != EdgeOrigin.ADDITIONAL
+                        and g.vertices[e.source].source_segment is None
+                        and g.vertices[e.target].source_segment is None):
+                    assert id(e) in originals, (code, e)
 
 
 # --- vertex order ---------------------------------------------------------
