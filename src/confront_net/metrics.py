@@ -28,15 +28,22 @@ are equal exactly when their metres are, and the metre tie runs are the
 runs of equal `key >> code_bits`. When the two indices need more than
 the 12 bits the sign and exponent took (long paths with uint16 hops),
 an `argsort` of the images orders the pairs instead, and the rank pass
-is the same. No order, sorted copy or rank array of the pairs is built,
-and the result does not depend on the order of the pairs.
-`distance_profile` picks each hop bucket's metres with a mask, in pair
-order, so its means and stds sum the same values in the same order as
-the stable hop sort of earlier versions did.
+is the same. The result does not depend on the order of the pairs.
+
+A located pair costs 1 hop byte plus 8 bytes that hold its metre and
+then its key. `pair_distances` fills the hops, releases the n x n hop
+matrix and only then fills the metres; `measure` takes the distance
+profile first, and `rank_correlation` then writes the keys over the
+metres (`overwrite_y`). No rank array of the pairs is built, and an
+order of them only by the argsort step. `distance_profile` fills each hop
+bucket's metres into a buffer of the bucket's size, block by block in
+pair order, so its means and stds sum the same values in the same order
+as the stable hop sort of earlier versions did.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -182,10 +189,10 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     """Run the all-pairs hop search once and keep what the statistics
     read: the hop histogram of every pair and the located pair vectors.
 
-    The located vectors are filled row by row from the hop matrix and
-    keep its type, so no index arrays, float matrix, located-vertex
-    submatrix or coordinate-difference cube is built, and the n x n
-    matrix is released when this returns.
+    The located vectors are filled row by row, the hops from the hop
+    matrix, in its type, and then the metres, so no index arrays, float
+    matrix, located-vertex submatrix or coordinate-difference cube is
+    built, and the n x n matrix is released before the metres are filled.
     """
     matrix = all_pairs_graph_distance(g)
     n = matrix.shape[0]
@@ -202,17 +209,19 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     xy = np.array([c for _, c in located], dtype=float)
     size = len(idx) * (len(idx) - 1) // 2
     located_hops = np.empty(size, matrix.dtype)
+    # Row k holds the pairs (k, k + 1), ..., (k, last).
+    starts = [0, *itertools.accumulate(range(len(idx) - 1, 0, -1))]
+    rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    for k, row in enumerate(rows):
+        located_hops[row] = matrix[idx[k], idx[k + 1:]]
+    del matrix
     metres = np.empty(size)
-    pos = 0
     # Coordinates a float64 difference overflows give an infinite metre,
     # which ranks as a tied extreme value.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(idx) - 1):
-            end = pos + len(idx) - 1 - k
-            located_hops[pos:end] = matrix[idx[k], idx[k + 1:]]
+        for k, row in enumerate(rows):
             diff = xy[k] - xy[k + 1:]
-            metres[pos:end] = np.hypot(diff[:, 0], diff[:, 1])
-            pos = end
+            metres[row] = np.hypot(diff[:, 0], diff[:, 1])
     return PairDistances(histogram, (located_hops, metres))
 
 
@@ -310,12 +319,14 @@ def _argsort_keys(image: np.ndarray,
 
 
 def _sorted_keys(y: np.ndarray, x_codes: Callable[[int, int], np.ndarray],
-                 blocks: int
+                 blocks: int, overwrite_y: bool = False
                  ) -> tuple[np.ndarray, np.uint64, np.ndarray | None]:
     """(keys, shift, codes): the pairs in ascending y order, as uint64
     keys whose values `>> shift` are equal exactly when the y values are.
     `x_codes(start, stop)` gives the x blocks of those pairs as uint64
-    codes below `blocks`.
+    codes below `blocks`. With `overwrite_y`, a writable contiguous y of
+    8-byte values holds the keys: each block's image is taken before it
+    is written back.
 
     A packed key holds, from the top: the dense index of the sign and
     exponent bits of the y image, the 52 low bits of that image, and the
@@ -326,7 +337,11 @@ def _sorted_keys(y: np.ndarray, x_codes: Callable[[int, int], np.ndarray],
     `shift` is 0 and `codes` holds the x codes in that order.
     """
     size = y.size
-    keys = np.empty(size, np.uint64)
+    if (overwrite_y and y.dtype.itemsize == 8 and y.flags.c_contiguous
+            and y.flags.writeable):
+        keys = y.view(np.uint64)
+    else:
+        keys = np.empty(size, np.uint64)
     classes = np.zeros(1 << _CLASS_BITS, bool)
     for start in range(0, size, _KEY_BLOCK):
         image = keys[start:start + _KEY_BLOCK]
@@ -405,7 +420,8 @@ def _rank_sums(keys: np.ndarray, shift: np.uint64, codes: np.ndarray | None,
     return sums, excess
 
 
-def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+def rank_correlation(x: np.ndarray, y: np.ndarray, *,
+                     overwrite_y: bool = False) -> float:
     """Spearman rho with average ranks for ties; infinite values and the
     unreachable mark of unsigned hops rank as tied extreme blocks. NaN
     when either side holds a NaN or is constant.
@@ -418,6 +434,9 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     x block h has the same doubled rank A_h, so the cross sum is
     sum_h A_h * S_h, where S_h sums the doubled y ranks over that block
     (`_rank_sums`).
+
+    With `overwrite_y`, y may be overwritten by the keys (its values are
+    then lost); by default neither argument is written to.
     """
     x, y = np.asarray(x), np.asarray(y)
     size = x.size
@@ -438,7 +457,8 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     else:
         def x_codes(start: int, stop: int) -> np.ndarray:
             return codes[start:stop].astype(np.uint64)
-    keys, shift, sorted_codes = _sorted_keys(y, x_codes, present.size)
+    keys, shift, sorted_codes = _sorted_keys(y, x_codes, present.size,
+                                             overwrite_y)
     sums, y_excess = _rank_sums(keys, shift, sorted_codes, present.size)
     cross = sum(a * s for a, s in zip(_doubled_ranks(x_lengths).tolist(),
                                       sums.tolist()))
@@ -457,14 +477,22 @@ def distance_profile(hops: np.ndarray, metres: np.ndarray) -> DistanceProfile:
     """Mean and std of the spatial distance per hop count, over the
     located pair vectors of `pair_distances`.
 
-    Each bucket's metres are picked by a mask, `metres[hops == h]`, in
-    the pairs' own order, ascending in h, so the unreachable bucket is
-    last. Only one mask and one bucket are held at a time.
+    The buckets go in ascending h, so the unreachable bucket is last.
+    Each is filled, block by block in the pairs' own order, into a
+    buffer sized from the hop histogram, so only one bucket and one
+    block mask are held at a time.
     """
     mark = _unreachable(hops)
+    histogram = _blocked_bincount(hops, mark + 1)
     buckets = []
-    for h in np.flatnonzero(_blocked_bincount(hops, mark + 1)).tolist():
-        sel = metres[hops == h]
+    for h in np.flatnonzero(histogram).tolist():
+        sel = np.empty(histogram[h])
+        pos = 0
+        for start in range(0, hops.size, _BLOCK):
+            picked = metres[start:start + _BLOCK][hops[start:start + _BLOCK]
+                                                  == h]
+            sel[pos:pos + picked.size] = picked
+            pos += picked.size
         with np.errstate(over="ignore", invalid="ignore"):  # infinite metres
             mean, std = float(sel.mean()), float(sel.std())
         buckets.append(ProfileBucket(
@@ -486,20 +514,24 @@ def measure(g: ConfrontGraph, baseline: int | None = None,
     Every graph takes this one path: a graph with no connected pair has
     d_max 0, one with no pair at all (fewer than two vertices) d_harm 0,
     and fewer than two located vertices give rho_d NaN.
+
+    The profile is taken first; rho_d then ranks the pairs with the keys
+    written over the metres, which nothing reads afterwards.
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
     pairs = pair_distances(g)
     located = pairs.located
+    spread, rho = None, math.nan
+    if located is not None:
+        spread = distance_profile(*located) if profile else None
+        rho = rank_correlation(*located, overwrite_y=True)
     summary = GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),
         d_max=_finite_max(pairs.histogram),
-        d_harm=_harmonic_mean(pairs.histogram),
-        rho_d=math.nan if located is None else rank_correlation(*located))
-    if not profile or located is None:
-        return summary, None
-    return summary, distance_profile(*located)
+        d_harm=_harmonic_mean(pairs.histogram), rho_d=rho)
+    return summary, spread
 
 
 def summarize(g: ConfrontGraph, baseline: int | None = None) -> GraphSummary:

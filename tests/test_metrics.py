@@ -748,6 +748,71 @@ def test_distance_profile_peak_memory_per_pair(large_located_pairs):
     assert peak_bytes(distance_profile, hops, metres) < 8 * hops.size
 
 
+@pytest.mark.parametrize("profile", (False, True))
+def test_measure_peak_memory_per_located_pair(profile):
+    """On the 184,528 located pairs of the street grid above, `measure`
+    peaks below 14 bytes per pair, with or without its profile: 1 hop
+    byte and 8 bytes that hold the metre and then its key, the hop
+    matrix (released before the metres are filled) and blocks. A second
+    8-byte key array beside the metres took 18.5 bytes per pair."""
+    rnd = random.Random(3)
+    side, n = 25, 640
+    coords = {i: (10.0 * (i % side) + rnd.random(),
+                  10.0 * (i // side) + rnd.random())
+              for i in range(n) if i % 20}
+    edges = ([(i, i + 1) for i in range(n - 1)
+              if (i + 1) % side and rnd.random() < 0.9]
+             + [(i, i + side) for i in range(n - side) if rnd.random() < 0.5])
+    g = make_graph(edges, n=n + 5, coords=coords)
+    pairs = len(coords) * (len(coords) - 1) // 2
+    assert pairs == 184_528
+    assert peak_bytes(metrics.measure, g, None, profile) < 14 * pairs
+
+
+RANKED_DTYPES = [pytest.param(x, y, id=f"{x}-{y}")
+                 for x in ("uint8", "uint16")
+                 for y in ("float64", "int64", "int32", "uint64")]
+
+
+@pytest.mark.parametrize("x_dtype,y_dtype", RANKED_DTYPES)
+def test_rank_correlation_leaves_its_arguments_unchanged(x_dtype, y_dtype):
+    """By default `rank_correlation` writes to neither argument, even a
+    y of 8-byte values that `overwrite_y` lets it take for its keys;
+    with `overwrite_y` its result is the same."""
+    rnd = np.random.default_rng(5)
+    x = rnd.integers(0, 12, 5000).astype(x_dtype)
+    x[::17] = np.iinfo(x_dtype).max
+    y = rnd.integers(0, 900, 5000).astype(y_dtype)
+    if y_dtype == "float64":
+        y = y * 0.37 - 40.0
+    before = x.tobytes(), y.tobytes()
+    got = rank_correlation(x, y)
+    assert (x.tobytes(), y.tobytes()) == before
+    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
+    assert same_bits(rank_correlation(x, y.copy(), overwrite_y=True), got)
+
+
+def test_measure_over_the_argsort_step_equals_the_oracle():
+    """A located path of 400 vertices (uint16 hops, 399 hop counts) whose
+    metres span hundreds of exponents takes the argsort step when
+    `measure` ranks over the metre buffer; rho_d is the oracle's, bit for
+    bit, over the pairs of a fresh `pair_distances`."""
+    rnd = random.Random(9)
+    n = 400
+    coords = {i: (rnd.uniform(-1, 1) * 2.0 ** rnd.randint(-200, 200),
+                  rnd.uniform(-1, 1) * 2.0 ** rnd.randint(-200, 200))
+              for i in range(n)}
+    g = make_graph([(i, i + 1) for i in range(n - 1)], coords=coords)
+    hops, metres = metrics.pair_distances(g).located
+    assert hops.dtype == np.uint16
+    with mock.patch.object(metrics, "_argsort_keys",
+                           wraps=metrics._argsort_keys) as step:
+        row, profile = metrics.measure(g, profile=True)
+    assert step.call_count == 1
+    assert same_bits(row.rho_d, argsort_oracle.rank_correlation(hops, metres))
+    assert profile == distance_profile(hops, metres)
+
+
 def test_cli_import_leaves_out_scipy_stats():
     src = str(Path(metrics.__file__).resolve().parents[1])
     env = dict(os.environ)
