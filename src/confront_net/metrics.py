@@ -207,15 +207,14 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
         return PairDistances(histogram, None)
     idx = np.array([i for i, _ in located])
     xy = np.array([c for _, c in located], dtype=float)
-    size = len(idx) * (len(idx) - 1) // 2
-    located_hops = np.empty(size, matrix.dtype)
     # Row k holds the pairs (k, k + 1), ..., (k, last).
     starts = [0, *itertools.accumulate(range(len(idx) - 1, 0, -1))]
     rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    located_hops = np.empty(starts[-1], matrix.dtype)
     for k, row in enumerate(rows):
         located_hops[row] = matrix[idx[k], idx[k + 1:]]
     del matrix
-    metres = np.empty(size)
+    metres = np.empty(starts[-1])
     # Coordinates a float64 difference overflows give an infinite metre,
     # which ranks as a tied extreme value.
     with np.errstate(over="ignore", invalid="ignore"):
