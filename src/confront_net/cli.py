@@ -24,7 +24,8 @@ from pathlib import Path
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
-from .errors import ConfrontNetError, EmptyResult, MalformedRecord
+from .errors import (ConfrontNetError, EmptyResult, MalformedRecord,
+                     MissingLength, MissingSegments)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
                       ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
@@ -551,6 +552,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, args.parser)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
+    except (MissingLength, MissingSegments) as exc:
+        # A street the top-k plan cannot use: name the file that lacks it.
+        lacking = isinstance(exc, MissingSegments) and args.segments
+        print(f"error: {exc} [{lacking or args.objects}]", file=sys.stderr)
+        return 2
     except (ConfrontNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,18 +17,19 @@ both ends carry coordinates.
 
 d_harm and rho_d are computed from exact integer sums and rounded once:
 d_harm over the hop buckets, rho_d from doubled average ranks, whose
-sums are integers. `rank_correlation` codes hops by their present
-buckets (the unreachable mark is the last, tied block) and packs each
-pair into one uint64 key: from the top, the dense index of the sign and
-exponent bits of an order-preserving image of the metre (-0.0 folded to
-+0.0), its 52 mantissa bits, then the hop code. The key array is sorted
-in place. The image is one-to-one and keeps order, and the dense index
-keeps the order of the classes present, so keys without their code bits
-are equal exactly when their metres are, and the metre tie runs are the
-runs of equal `key >> code_bits`. When the two indices need more than
-the 12 bits the sign and exponent took (long paths with uint16 hops),
-an `argsort` of the images orders the pairs instead, and the rank pass
-is the same. The result does not depend on the order of the pairs.
+sums are integers. `rank_correlation` codes x, hop counts (the
+unreachable mark last) or `np.unique` codes, by the dense index of its
+present tie blocks and packs each pair into one uint64 key: from the
+top, the dense index of the sign and exponent bits of an
+order-preserving image of the metre (-0.0 folded to +0.0), its 52
+mantissa bits, then the x code. The key array is sorted in place. The
+image is one-to-one and keeps order, and the dense index keeps the order
+of the classes present, so keys without their code bits are equal
+exactly when their metres are, and the metre tie runs are the runs of
+equal `key >> code_bits`. When the two indices need more than the 12
+bits the sign and exponent took (long paths with uint16 hops), an
+`argsort` of the images orders the pairs instead, and the rank pass is
+the same. The result does not depend on the order of the pairs.
 
 A located pair costs 1 hop byte plus 8 bytes that hold its metre and
 then its key. `pair_distances` fills the hops, releases the n x n hop
@@ -189,10 +190,10 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     """Run the all-pairs hop search once and keep what the statistics
     read: the hop histogram of every pair and the located pair vectors.
 
-    The located vectors are filled row by row, the hops from the hop
-    matrix, in its type, and then the metres, so no index arrays, float
-    matrix, located-vertex submatrix or coordinate-difference cube is
-    built, and the n x n matrix is released before the metres are filled.
+    The located vectors are filled row by row: the hops from the hop
+    matrix, in its type, then, once the matrix is released, the metres,
+    which `np.hypot` writes in place from two coordinate columns. No
+    index array, float matrix or coordinate-difference array is built.
     """
     matrix = all_pairs_graph_distance(g)
     n = matrix.shape[0]
@@ -200,13 +201,12 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     histogram = _blocked_bincount(matrix.ravel(), _unreachable(matrix) + 1)
     histogram[0] -= n
     histogram //= 2
-    index = g.vertex_index()
-    located = [(index[v.id], v.coord) for v in g.vertices.values()
+    located = [(i, v.coord) for i, v in enumerate(g.vertices.values())
                if v.coord is not None]
     if len(located) < 2:
         return PairDistances(histogram, None)
     idx = np.array([i for i, _ in located])
-    xy = np.array([c for _, c in located], dtype=float)
+    x, y = np.array([c for _, c in located], dtype=float).T.copy()
     # Row k holds the pairs (k, k + 1), ..., (k, last).
     starts = [0, *itertools.accumulate(range(len(idx) - 1, 0, -1))]
     rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
@@ -219,8 +219,7 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     # which ranks as a tied extreme value.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, row in enumerate(rows):
-            diff = xy[k] - xy[k + 1:]
-            metres[row] = np.hypot(diff[:, 0], diff[:, 1])
+            np.hypot(x[k] - x[k + 1:], y[k] - y[k + 1:], out=metres[row])
     return PairDistances(histogram, (located_hops, metres))
 
 
@@ -443,22 +442,15 @@ def rank_correlation(x: np.ndarray, y: np.ndarray, *,
                        for v in (x, y)):
         return math.nan
     codes, x_lengths = _tie_codes(x)
-    present = np.flatnonzero(x_lengths)
-    if present.size < 2:
-        return math.nan
+    present = x_lengths > 0
     x_lengths = x_lengths[present]
-    if codes is x:  # hops: the dense index of each present hop count
-        dense = np.zeros(_unreachable(x) + 1, np.uint64)
-        dense[present] = np.arange(present.size, dtype=np.uint64)
-
-        def x_codes(start: int, stop: int) -> np.ndarray:
-            return dense[x[start:stop]]
-    else:
-        def x_codes(start: int, stop: int) -> np.ndarray:
-            return codes[start:stop].astype(np.uint64)
-    keys, shift, sorted_codes = _sorted_keys(y, x_codes, present.size,
-                                             overwrite_y)
-    sums, y_excess = _rank_sums(keys, shift, sorted_codes, present.size)
+    blocks = x_lengths.size
+    if blocks < 2:
+        return math.nan
+    dense = (np.cumsum(present) - 1).astype(np.uint64)
+    keys, shift, sorted_codes = _sorted_keys(
+        y, lambda start, stop: dense[codes[start:stop]], blocks, overwrite_y)
+    sums, y_excess = _rank_sums(keys, shift, sorted_codes, blocks)
     cross = sum(a * s for a, s in zip(_doubled_ranks(x_lengths).tolist(),
                                       sums.tolist()))
     # P times the centred sums: the doubled ranks on each side sum to

@@ -874,6 +874,23 @@ def test_measure_gives_the_summarize_row_and_profile_from_one_pass(
     assert metrics.measure(g, 10)[1] is None
 
 
+@pytest.mark.parametrize("profile", [False, True])
+@pytest.mark.parametrize("build", MEASURED_GRAPHS)
+def test_measure_ranks_through_the_module_global(count_calls, build,
+                                                 profile):
+    """`measure` reaches rho_d through the module-global
+    `rank_correlation`, which perfbench's span wraps, once for a graph
+    with 2 located vertices or more and never for one with fewer; it
+    calls `distance_profile` once, and only with `profile`."""
+    ranked = count_calls(metrics, "rank_correlation")
+    profiled = count_calls(metrics, "distance_profile")
+    g = build()
+    metrics.measure(g, 10, profile=profile)
+    located = sum(v.coord is not None for v in g.vertices.values()) >= 2
+    assert len(ranked) == located
+    assert len(profiled) == (located and profile)
+
+
 def test_stats_profile_makes_one_hop_pass_per_graph(hop_passes, tmp_path,
                                                    capsys):
     save_database(synthetic_database(0), tmp_path / "objects.csv",
