@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -25,7 +24,7 @@ from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
 from .errors import (ConfrontNetError, EmptyResult, MalformedRecord,
-                     MissingLength, MissingSegments)
+                     MissingLength, MissingSegments, TakenVertexId)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
                       ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
@@ -35,6 +34,14 @@ from .relation_types import TABLE_VERSION
 from .serialize import (atomic_write_bytes, cache_bytes, community_gexf_bytes,
                         gexf_bytes, graphml_bytes, read_cache)
 from .sweep import default_k_range, select_best, sweep_k
+
+try:  # the built-in SHA-256: OpenSSL's libcrypto (3.3 MB resident) stays out
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 CACHE_SUFFIX = ".graph.json.gz"
 
@@ -161,9 +168,9 @@ def _hash_inputs(inputs: dict[str, str]) -> dict[str, str]:
     for name, value in sorted(inputs.items()):
         path = Path(value)
         if path.is_file():
-            hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            hashes[name] = sha256(path.read_bytes()).hexdigest()
         elif path.is_dir():
-            digest = hashlib.sha256()
+            digest = sha256()
             for child in sorted(path.glob(f"*{CACHE_SUFFIX}")):
                 digest.update(child.name.encode())
                 digest.update(child.read_bytes())
@@ -185,7 +192,7 @@ def build_manifest(command: str, args: argparse.Namespace,
         "parameters": parameters,
     }
     canonical = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    manifest["manifest_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    manifest["manifest_hash"] = sha256(canonical.encode()).hexdigest()
     return manifest
 
 
@@ -552,10 +559,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, args.parser)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
-    except (MissingLength, MissingSegments) as exc:
-        # A street the top-k plan cannot use: name the file that lacks it.
-        lacking = isinstance(exc, MissingSegments) and args.segments
-        print(f"error: {exc} [{lacking or args.objects}]", file=sys.stderr)
+    except (MissingLength, MissingSegments, TakenVertexId) as exc:
+        # A street the top-k plan cannot use, or a segment whose vertex id
+        # is taken: name the file that lacks or declares it.
+        segments = not isinstance(exc, MissingLength) and args.segments
+        print(f"error: {exc} [{segments or args.objects}]", file=sys.stderr)
         return 2
     except (ConfrontNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,10 @@ class DuplicateId(ConfrontNetError):
     """Two records share an identifier that must be unique."""
 
 
+class TakenVertexId(DuplicateId):
+    """A segment's vertex id (`object#segment`) is another vertex's id."""
+
+
 class DanglingEndpoint(ConfrontNetError):
     """A relation or segment references an object id that does not exist."""
 

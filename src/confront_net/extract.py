@@ -17,8 +17,8 @@ from enum import Enum
 
 from .data_model import (Database, Dimensionality, RelationOrigin,
                          SpatialObject)
-from .errors import (DuplicateId, MalformedRecord, MissingLength,
-                     MissingSegments, UnmappableType)
+from .errors import (MalformedRecord, MissingLength, MissingSegments,
+                     TakenVertexId, UnmappableType)
 from .graph import ConfrontGraph, Edge, EdgeOrigin, Vertex, unique_edges
 from .normalize import normalize_relation_type
 from .relation_types import (EGAL, HierarchyClass, NormalizedType,
@@ -127,7 +127,7 @@ def build_full_graph(db: Database) -> ConfrontGraph:
         for seg in db.objects[v.id].segments:
             vid = segment_vertex_id(v.id, seg.id)
             if vid in owners:
-                raise DuplicateId(
+                raise TakenVertexId(
                     f"segment {seg.id!r} of object {v.id!r} would have "
                     f"vertex id {vid!r}, already used by object "
                     f"{owners[vid]!r}")

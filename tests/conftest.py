@@ -1,11 +1,13 @@
 """Shared builders: quick graphs, quick databases, and the randomized
 synthetic database generator used by the pipeline invariant suite; the
 per-statistic views of a graph's hops that the oracles compare against;
-the coverage baseline of a register; and a fixture that counts calls."""
+the coverage baseline of a register; a fixture that counts calls; and
+a runner of code in a fresh interpreter."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -54,6 +56,16 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this package."""
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
 
 
 def property_baseline(db: Database) -> int:

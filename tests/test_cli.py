@@ -3,16 +3,18 @@
 Exit code contract: 0 success, 1 usage error, 2 data/processing error."""
 
 import gzip
+import hashlib
 import importlib
 import json
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import elementtree_oracle as oracle
 from conftest import (generated_register, make_graph, property_baseline,
-                      segment_clash_database, synthetic_database)
+                      run_python, segment_clash_database, synthetic_database)
 from register_writer import save_database
 from confront_net import cli, metrics, normalize
 from confront_net.cli import CACHE_SUFFIX, main
@@ -522,13 +524,41 @@ def segment_clash_files(tmp_path_factory):
 ], ids=["extract", "extract-all", "stats", "communities", "sweep"])
 def test_a_taken_segment_vertex_id_is_a_data_error(
         capsys, segment_clash_files, tmp_path, argv):
-    """Even a method that keeps the street whole refuses the register."""
+    """Even a method that keeps the street whole refuses the register,
+    naming the segments file, which declares the segment."""
     out = tmp_path / "out"
     assert run(capsys, argv[0], *segment_clash_files, *(
         a.format(out=out) for a in argv[1:]), "--threshold", "1") == (
         2, "", "error: segment 's0' of object 'st' would have vertex id "
-               "'st#s0', already used by object 'st#s0'\n")
+               f"'st#s0', already used by object 'st#s0' "
+               f"[{segment_clash_files[-1]}]\n")
     assert not out.exists()
+
+
+def test_a_taken_segment_vertex_id_in_json_names_the_objects_file(
+        capsys, tmp_path):
+    """JSON objects hold their segments inline."""
+    objects, relations = tmp_path / "objects.json", tmp_path / "relations.json"
+    save_database(segment_clash_database(), objects, relations)
+    assert run(capsys, "stats", "--objects", str(objects), "--relations",
+               str(relations), "--method", "RFW_all") == (
+        2, "", "error: segment 's0' of object 'st' would have vertex id "
+               f"'st#s0', already used by object 'st#s0' [{objects}]\n")
+
+
+def test_a_loader_duplicate_id_names_its_file_once(capsys, tmp_path):
+    """A duplicate id the loader finds keeps its one location."""
+    save_database(segment_clash_database(), tmp_path / "objects.csv",
+                  tmp_path / "relations.csv", tmp_path / "segments.csv")
+    objects = tmp_path / "objects.csv"
+    lines = objects.read_text().splitlines(keepends=True)
+    objects.write_text("".join(lines + lines[1:2]))
+    assert run(capsys, "stats", "--objects", str(objects),
+               "--relations", str(tmp_path / "relations.csv"),
+               "--segments", str(tmp_path / "segments.csv"),
+               "--method", "RFW_all") == (
+        2, "", f"error: duplicate object id 'p' "
+               f"[{objects}:{len(lines) + 1}]\n")
 
 
 @pytest.mark.parametrize("command,out,printed", [
@@ -968,3 +998,72 @@ def test_coordinates_whose_difference_overflows_warn_nothing(capsys,
     assert profile[0] == "1,2,inf,"  # a-b is infinite, b-c is 1e308
     assert profile[1].startswith("2,1,1000000000000000010979")
     assert profile[1].endswith(".000,0.000")
+
+
+@pytest.mark.parametrize("blocked,loads_hashlib", [
+    (("hashlib",), False), (("_sha2", "_sha256"), True)],
+    ids=["built-in", "hashlib-fallback"])
+def test_manifest_digests_are_hashlib_sha256(tmp_path, blocked,
+                                             loads_hashlib):
+    """Every command writes the SHA-256 digests hashlib computes, whether
+    it takes sha256 from the interpreter's own module (without loading
+    hashlib or OpenSSL) or, where that module is missing, from hashlib."""
+    db = synthetic_database(SEED)
+    reg = ["--objects", str(tmp_path / "objects.csv"),
+           "--relations", str(tmp_path / "relations.csv"),
+           "--segments", str(tmp_path / "segments.csv")]
+    save_database(db, *reg[1::2])
+    out = tmp_path / "out"
+    argvs = [
+        ["extract", *reg, "--all", "--k", "2", "--threshold", "4",
+         "--out", str(out / "extract")],
+        ["stats", *reg, "--method", "EFS_k", "--k", "2", "--threshold", "4",
+         "--profile", "--out", str(out / "stats.csv")],
+        ["stats", "--graphs", str(out / "extract"),
+         "--out", str(out / "graphs.csv")],
+        ["sweep", *reg, "--base", "EFS", "--threshold", "4",
+         "--out", str(out / "sweep.csv")],
+        ["communities", "--graph",
+         str(out / "extract" / f"EFS_k{CACHE_SUFFIX}"),
+         "--out", str(out / "communities")]]
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    probe = run_python(
+        "import json, sys\n"
+        f"for name in {blocked!r}: sys.modules[name] = None\n"
+        "from confront_net import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        f"empty = cli._hash_inputs({{'empty': {str(empty)!r}}})\n"
+        "print(json.dumps([codes, empty, sorted(m for m in "
+        "('hashlib', '_hashlib') if sys.modules.get(m))]))")
+    assert probe.returncode == 0, probe.stderr
+    codes, empty_hash, loaded = json.loads(probe.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs), probe.stderr
+    assert empty_hash == {"empty": hashlib.sha256(b"").hexdigest()}
+    if loads_hashlib:
+        assert "hashlib" in loaded
+    else:
+        assert loaded == []  # neither hashlib nor OpenSSL's _hashlib
+
+    caches = hashlib.sha256()
+    for path in sorted((out / "extract").glob(f"*{CACHE_SUFFIX}")):
+        caches.update(path.name.encode() + path.read_bytes())
+    manifests = [out / "extract" / "manifest.json",
+                 out / "stats.csv.manifest.json",
+                 out / "graphs.csv.manifest.json",
+                 out / "sweep.csv.manifest.json",
+                 out / "communities" / "manifest.json"]
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        hashed = {key: value for key, value in manifest.items()
+                  if key not in ("created", "manifest_hash")}
+        assert manifest["manifest_hash"] == hashlib.sha256(json.dumps(
+            hashed, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest(), path
+        assert manifest["input_hashes"] == {
+            name: (caches.hexdigest() if name == "graphs" else
+                   hashlib.sha256(Path(value).read_bytes()).hexdigest())
+            for name, value in manifest["inputs"].items()}, path
+    assert {name for path in manifests for name in json.loads(
+        path.read_text())["inputs"]} == {
+        "objects", "relations", "segments", "graph", "graphs"}

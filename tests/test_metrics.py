@@ -37,8 +37,8 @@ import rank_oracle as argsort_oracle
 
 from conftest import (finite_diameter, float_hops, harmonic_mean_distance,
                       hop_matrix, make_graph, make_vertex, property_baseline,
-                      random_graph, spearman_distance_correlation,
-                      synthetic_database)
+                      random_graph, run_python,
+                      spearman_distance_correlation, synthetic_database)
 from register_writer import save_database
 from confront_net import cli, metrics
 from confront_net.extract import ExtractionMethod, extract
@@ -1029,15 +1029,6 @@ def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
     assert np.array_equal(
         float_hops(located_hops),
         want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
-
-
-def run_python(code):
-    src = str(Path(metrics.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
 
 
 def test_cli_import_leaves_out_every_scipy_module():
