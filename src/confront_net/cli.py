@@ -23,8 +23,9 @@ from pathlib import Path
 from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
-from .errors import (ConfrontNetError, EmptyResult, MalformedRecord,
-                     MissingLength, MissingSegments, TakenVertexId)
+from .errors import (ConflictingMerge, ConfrontNetError, EmptyResult,
+                     MalformedRecord, MissingLength, MissingSegments,
+                     TakenVertexId)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
                       ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
@@ -395,7 +396,8 @@ def cmd_communities(args: argparse.Namespace,
         methods, _, variants = _extractions(args, parser)
         (g,) = variants
     if g.n == 0:
-        raise EmptyResult("cannot partition an empty graph")
+        raise EmptyResult("cannot partition an empty graph",
+                          path=args.graph and str(args.graph))
     manifest = build_manifest(
         "communities", args, methods,
         {"seed": args.seed, "k": args.k, "threshold": args.threshold})
@@ -546,6 +548,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The register file at fault for an error found after loading. Without a
+# segments file, the segments are inline in the objects file.
+_FILE_AT_FAULT = {ConflictingMerge: "relations", MissingLength: "objects",
+                  MissingSegments: "segments", TakenVertexId: "segments"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -559,13 +567,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, args.parser)
     except SystemExit as exc:  # parser.error inside a subcommand
         return int(exc.code or 0)
-    except (MissingLength, MissingSegments, TakenVertexId) as exc:
-        # A street the top-k plan cannot use, or a segment whose vertex id
-        # is taken: name the file that lacks or declares it.
-        segments = not isinstance(exc, MissingLength) and args.segments
-        print(f"error: {exc} [{segments or args.objects}]", file=sys.stderr)
-        return 2
     except (ConfrontNetError, OSError) as exc:
+        field = _FILE_AT_FAULT.get(type(exc))
+        where = field and (getattr(args, field) or args.objects)
+        if where and exc.path is None:
+            exc = type(exc)(str(exc), path=str(where))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

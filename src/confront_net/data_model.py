@@ -350,14 +350,9 @@ class _located:
 
     def __exit__(self, kind: type[BaseException] | None,
                  exc: BaseException | None, tb: Any) -> None:
-        if isinstance(exc, MalformedRecord):
-            if exc.path is None:
-                raise type(exc)(str(exc), path=str(self.path),
-                                line=self.line) from None
-        elif isinstance(exc, ConfrontNetError):
-            where = (str(self.path) if self.line is None
-                     else f"{self.path}:{self.line}")
-            raise type(exc)(f"{exc} [{where}]") from None
+        if isinstance(exc, ConfrontNetError) and exc.path is None:
+            raise type(exc)(str(exc), path=str(self.path),
+                            line=self.line) from None
 
 
 def load_database(objects_path: str | Path, relations_path: str | Path,

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
 Everything user-facing derives from ConfrontNetError so the CLI can map
-any data problem to a single exit code. Loader errors carry enough
-context (file, line) to locate the offending record.
+any data problem to a single exit code. An error given its input file
+(and line) ends its message in ``[path]`` or ``[path:line]``.
 """
 
 from __future__ import annotations
@@ -11,18 +11,16 @@ from __future__ import annotations
 class ConfrontNetError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __init__(self, message: str, *, path: str | None = None,
+                 line: int | None = None) -> None:
+        self.path, self.line = path, line
+        if path is not None:
+            message += f" [{path}" + (f":{line}" if line is not None else "") + "]"
+        super().__init__(message)
+
 
 class MalformedRecord(ConfrontNetError):
     """A record violates the schema (bad enum value, bad number, missing field)."""
-
-    def __init__(self, message: str, *, path: str | None = None,
-                 line: int | None = None) -> None:
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f" [{path}" + (f":{line}" if line is not None else "") + "]"
-        super().__init__(message + where)
 
 
 class DuplicateId(ConfrontNetError):

@@ -599,6 +599,19 @@ def test_extract_all_writes_an_empty_variant_as_the_empty_graph(
             cache_bytes(empty, mhash))
 
 
+def test_communities_on_an_empty_cache_names_the_cache(
+        capsys, degenerate_files, tmp_path):
+    """The empty RFW_k cache that `extract --all` writes is refused by
+    `communities --graph` with the cache's name."""
+    assert run(capsys, "extract", *degenerate_files, "--all", "--k", "4",
+               "--out", str(tmp_path))[0] == 0
+    cache = tmp_path / f"RFW_k{CACHE_SUFFIX}"
+    assert run(capsys, "communities", "--graph", str(cache),
+               "--out", str(tmp_path / "out")) == (
+        2, "", f"error: cannot partition an empty graph [{cache}]\n")
+    assert not (tmp_path / "out").exists()
+
+
 # The package root re-exports the function `extract`, which shadows the
 # module of that name as an attribute.
 EXTRACT = importlib.import_module("confront_net.extract")

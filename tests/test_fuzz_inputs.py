@@ -4,13 +4,15 @@ data error.
 One hypothesis test takes small valid inputs (a CSV register, a JSON
 register and a `.graph.json.gz` cache), damages one of their files by a
 byte flip, a truncation, two swapped fields, a huge or deeply nested
-value, a byte order mark or by emptying it, and runs the CLI on them.
+value, a byte order mark, a relation pointed at another object or by
+emptying it, and runs the CLI on them.
 The exit code is 0 or 2, nothing escapes `cli.main` (so no traceback
 reaches stderr) and every exit 2 names one of its input files.
 The examples found along the way are pinned as plain tests."""
 
 import codecs
 import contextlib
+import csv
 import gzip
 import io
 import json
@@ -18,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, synthetic_database
@@ -38,7 +40,8 @@ HUGE_JSON = ["1" + "0" * 400, "-1e400", "9" * 5000,
              "[" * 100_000 + "]" * 100_000, '"' + "x" * 200_000 + '"',
              '{"a": ' * 5_000 + "0" + "}" * 5_000, "-0.0", "true", "{}"]
 BOMS = [codecs.BOM_UTF8, codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE]
-MUTATIONS = ["flip", "truncate", "swap", "huge", "bom", "empty"]
+MUTATIONS = ["flip", "truncate", "swap", "huge", "bom", "empty", "retarget"]
+OBJECT_IDS = sorted(synthetic_database(0).objects)
 
 
 def valid_inputs() -> dict[str, dict[str, bytes]]:
@@ -127,6 +130,35 @@ def mutate_csv(data: bytes, mutation: str, draw) -> bytes:
     return b"\n".join(lines)
 
 
+def relation_records(name: str, data: bytes) -> list[dict]:
+    if name.endswith(".json"):
+        return json.loads(data)
+    return list(csv.DictReader(io.StringIO(data.decode())))
+
+
+def relations_bytes(name: str, records: list[dict]) -> bytes:
+    if name.endswith(".json"):
+        return json.dumps(records).encode()
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(records[0]))
+    writer.writeheader()
+    writer.writerows(records)
+    return text.getvalue().encode()
+
+
+def retarget(name: str, data: bytes, draw) -> bytes:
+    """One relation's source or target pointed at another object's id,
+    its raw type sometimes made Egal: damage that passes each record's
+    own check."""
+    records = relation_records(name, data)
+    rel = draw(st.sampled_from(records))
+    rel[draw(st.sampled_from(["source_id", "target_id"]))] = draw(
+        st.sampled_from(OBJECT_IDS))
+    if draw(st.booleans()):
+        rel["raw_type"] = "Egal"
+    return relations_bytes(name, records)
+
+
 def mutate(name: str, data: bytes, mutation: str, draw) -> bytes:
     """`data`, the bytes of file `name`, damaged by `mutation`. A cache's
     bytes are damaged as they are, its fields inside the gzip stream."""
@@ -140,6 +172,8 @@ def mutate(name: str, data: bytes, mutation: str, draw) -> bytes:
         return data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
     if mutation == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
+    if mutation == "retarget":
+        return retarget(name, data, draw)
     if name == CACHE:
         return gzip.compress(mutate_json(gzip.decompress(data), mutation,
                                          draw))
@@ -175,8 +209,10 @@ def assert_success_or_located(argv: list[str], root: Path) -> None:
 @given(data=st.data(), kind=st.sampled_from(sorted(INPUTS)),
        mutation=st.sampled_from(MUTATIONS))
 def test_damaged_inputs_exit_0_or_with_a_located_error(data, kind, mutation):
+    assume(kind != "cache" or mutation != "retarget")  # it has no relations
     files = dict(INPUTS[kind])
-    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    name = (f"relations.{kind}" if mutation == "retarget"
+            else data.draw(st.sampled_from(sorted(files)), label="file"))
     files[name] = mutate(name, files[name], mutation, data.draw)
     commands = (["stats", "communities"] if kind == "cache"
                 else ["stats", "extract", "sweep"])
@@ -242,3 +278,22 @@ def test_a_json_street_whose_segments_are_damaged_names_its_file(tmp_path):
     assert (code, err.splitlines()[-1]) == (
         2, f"error: street 'st06' is among the 2 longest but has no segments "
            f"to split into [{objects}]")
+
+
+@pytest.mark.parametrize("command", ["stats", "extract", "sweep"])
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_an_egal_relation_between_kinds_names_the_relations_file(
+        tmp_path, kind, command):
+    """The register's one Egal relation, st08 = st03, retargeted at a
+    Property: the merge refuses it, naming the relations file."""
+    relations = f"relations.{kind}"
+    records = relation_records(relations, INPUTS[kind][relations])
+    (egal,) = (rec for rec in records if rec["raw_type"] == "Egal")
+    egal["target_id"] = "prop000"
+    data = relations_bytes(relations, records)
+    for name, content in {**INPUTS[kind], relations: data}.items():
+        (tmp_path / name).write_bytes(content)
+    code, err = run_cli(argv_for(kind, command, tmp_path))
+    assert (code, err.splitlines()[-1]) == (
+        2, "error: relation 'r0072' declares 'st08' (Street) equal to "
+           f"'prop000' (Property) [{tmp_path / relations}]")

@@ -16,15 +16,11 @@ without it."""
 
 import dataclasses
 import math
-import os
 import random
 import struct
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -811,18 +807,6 @@ def test_measure_over_the_argsort_step_equals_the_oracle():
     assert step.call_count == 1
     assert same_bits(row.rho_d, argsort_oracle.rank_correlation(hops, metres))
     assert profile == distance_profile(hops, metres)
-
-
-def test_cli_import_leaves_out_scipy_stats():
-    src = str(Path(metrics.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, confront_net.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert probe.stdout.strip() == "False"
 
 
 @pytest.fixture
