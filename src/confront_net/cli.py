@@ -90,7 +90,11 @@ def _add_db_arguments(parser: argparse.ArgumentParser,
                         help="optional segments CSV")
 
 
-def _load_merged(args: argparse.Namespace) -> Database:
+def _load_merged(args: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> Database:
+    if args.objects.suffix == ".json" and args.segments is not None:
+        parser.error("--segments not allowed with JSON --objects; the "
+                     "objects file carries its segments inline")
     db = load_database(args.objects, args.relations, args.segments)
     warnings = validate_database(db)
     if warnings:
@@ -142,9 +146,13 @@ def _extractions(args: argparse.Namespace, parser: argparse.ArgumentParser
         code, k=args.k or 0, component_threshold=args.threshold)
         for code in codes]
     for method in methods:
-        if method.scope is Scope.TOP_K and args.k is None:
+        takes_k = method.scope is Scope.TOP_K
+        if takes_k and args.k is None:
             parser.error(f"--k is required for method {method.code}")
-    db = _load_merged(args)
+        if not (takes_k or every or args.k is None):
+            parser.error(f"--k not allowed with method {method.code}; only "
+                         f"the _k methods take k")
+    db = _load_merged(args, parser)
     graphs = extract_each(db, methods)
     full = next(graphs)
     if not every:
@@ -367,7 +375,7 @@ def cmd_sweep(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
     base = ExtractionMethod.from_code(f"{args.base}_k",
                                       component_threshold=args.threshold)
-    db = _load_merged(args)
+    db = _load_merged(args, parser)
     k_values = (list(default_k_range(db)) if args.k_range is None
                 else args.k_range)
     points = sweep_k(db, base, k_values)

@@ -129,9 +129,6 @@ class ConfrontGraph:
         return (list(self._vertices.items()) == list(other._vertices.items())
                 and self._edges == other._edges)
 
-    def __hash__(self) -> int:  # identity hashing; equality is structural
-        return id(self)
-
     # --- collapsed undirected simple view ---------------------------------
 
     def vertex_index(self) -> dict[str, int]:

@@ -20,26 +20,25 @@ d_harm over the hop buckets, rho_d from doubled average ranks, whose
 sums are integers. `rank_correlation` codes x, hop counts (the
 unreachable mark last) or `np.unique` codes, by the dense index of its
 present tie blocks and packs each pair into one uint64 key: from the
-top, the dense index of the sign and exponent bits of an
-order-preserving image of the metre (-0.0 folded to +0.0), its 52
-mantissa bits, then the x code. The key array is sorted in place. The
-image is one-to-one and keeps order, and the dense index keeps the order
-of the classes present, so keys without their code bits are equal
+top, the dense index of the exponent bits of the metre, its 52 mantissa
+bits, then the x code. A metre is non-negative float64, +inf allowed,
+so its bits order as its value does, and the dense index keeps the
+order of the exponents present: keys without their code bits are equal
 exactly when their metres are, and the metre tie runs are the runs of
 equal `key >> code_bits`. When the two indices need more than the 12
-bits the sign and exponent took (long paths with uint16 hops), an
-`argsort` of the images orders the pairs instead, and the rank pass is
-the same. The result does not depend on the order of the pairs.
+bits of the sign and exponent (long paths with uint16 hops), an
+`argsort` of the metre bits orders the pairs instead, and the rank pass
+is the same. The result does not depend on the order of the pairs.
 
 A located pair costs 1 hop byte plus 8 bytes that hold its metre and
 then its key. `pair_distances` fills the hops, releases the n x n hop
 matrix and only then fills the metres; `measure` takes the distance
 profile first, and `rank_correlation` then writes the keys over the
-metres (`overwrite_y`). No rank array of the pairs is built, and an
-order of them only by the argsort step. `distance_profile` fills each hop
-bucket's metres into a buffer of the bucket's size, block by block in
-pair order, so its means and stds sum the same values in the same order
-as the stable hop sort of earlier versions did.
+metres. No rank array of the pairs is built, and an order of them only
+by the argsort step. `distance_profile` fills each hop bucket's metres
+into a buffer of the bucket's size, block by block in pair order, so its
+means and stds sum the same values in the same order as the stable hop
+sort of earlier versions did.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ _KEY_BLOCK = 1 << 13
 _MANTISSA_BITS = np.uint64(52)
 _MANTISSA = np.uint64((1 << 52) - 1)
 _CLASS_BITS = 12  # the sign and exponent bits
-_SIGN = np.uint64(1 << 63)
-_SIGN_SHIFT = np.int64(63)
 
 
 @dataclass(frozen=True)
@@ -291,60 +288,43 @@ def _ratio_to_root(num: int, square: int) -> float:
     return math.copysign(root / (1 << k), num)
 
 
-def _order_image(values: np.ndarray) -> np.ndarray:
-    """uint64 images of non-NaN values that keep their order and their
-    ties. A float is taken to float64 and -0.0 folded to +0.0; its bits
-    get the sign bit set when it is non-negative and are all flipped when
-    it is negative. A signed integer is offset by 2^63."""
-    kind = values.dtype.kind
-    if kind in "ub":
-        return values.astype(np.uint64)
-    if kind == "i":
-        return values.astype(np.int64).view(np.uint64) ^ _SIGN
-    bits = np.add(values, 0.0, dtype=np.float64).view(np.uint64)
-    flip = (bits.view(np.int64) >> _SIGN_SHIFT).view(np.uint64)
-    flip |= _SIGN
-    bits ^= flip
-    return bits
-
-
-def _argsort_keys(image: np.ndarray,
+def _argsort_keys(keys: np.ndarray,
                   codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The y images in ascending order, with the x codes carried along:
+    """The metre bits in ascending order, with the x codes carried along:
     one unstable `argsort`, for keys too wide to pack."""
-    order = np.argsort(image)
-    return image[order], codes[order]
+    order = np.argsort(keys)
+    return keys[order], codes[order]
 
 
 def _sorted_keys(y: np.ndarray, x_codes: Callable[[int, int], np.ndarray],
-                 blocks: int, overwrite_y: bool = False
-                 ) -> tuple[np.ndarray, np.uint64, np.ndarray | None]:
+                 blocks: int
+                 ) -> tuple[np.ndarray, np.uint64, np.ndarray | None] | None:
     """(keys, shift, codes): the pairs in ascending y order, as uint64
-    keys whose values `>> shift` are equal exactly when the y values are.
-    `x_codes(start, stop)` gives the x blocks of those pairs as uint64
-    codes below `blocks`. With `overwrite_y`, a writable contiguous y of
-    8-byte values holds the keys: each block's image is taken before it
-    is written back.
+    keys whose values `>> shift` are equal exactly when the y values are;
+    None when y holds a NaN. y is the metres, a contiguous float64 array,
+    which the keys are built over. `x_codes(start, stop)` gives the x
+    blocks of those pairs as uint64 codes below `blocks`.
 
-    A packed key holds, from the top: the dense index of the sign and
-    exponent bits of the y image, the 52 low bits of that image, and the
-    x code in `shift` bits. It orders as y does and, among equal y, as
-    the code does, so one in-place sort orders the pairs and `codes` is
-    None. When the two indices need more than the 12 bits that the sign
-    and exponent took, the y images are ordered by `_argsort_keys`,
+    A packed key holds, from the top: the dense index of the exponent
+    bits of the metre, its 52 mantissa bits, and the x code in `shift`
+    bits. It orders as y does and, among equal y, as the code does, so
+    one in-place sort orders the pairs and `codes` is None. When the two
+    indices need more than the 12 bits that the sign and exponent took,
+    the metre bits are ordered into a new array by `_argsort_keys`,
     `shift` is 0 and `codes` holds the x codes in that order.
     """
     size = y.size
-    if (overwrite_y and y.dtype.itemsize == 8 and y.flags.c_contiguous
-            and y.flags.writeable):
-        keys = y.view(np.uint64)
-    else:
-        keys = np.empty(size, np.uint64)
+    keys = y.view(np.uint64)
     classes = np.zeros(1 << _CLASS_BITS, bool)
     for start in range(0, size, _KEY_BLOCK):
-        image = keys[start:start + _KEY_BLOCK]
-        image[:] = _order_image(y[start:start + _KEY_BLOCK])
-        classes[(image >> _MANTISSA_BITS).view(np.int64)] = True
+        classes[(keys[start:start + _KEY_BLOCK] >> _MANTISSA_BITS)
+                .view(np.int64)] = True
+    # A NaN has every exponent bit set: class 2047, or 4095 with the sign
+    # bit, which puts a negative metre or -0.0 in class 2048 or above.
+    if classes[[2047, 4095]].any() and np.isnan(y).any():
+        return None
+    if classes[2048:].any():
+        raise ValueError("a metre is negative or -0.0")
     code_bits = (blocks - 1).bit_length()
     if (int(classes.sum()) - 1).bit_length() + code_bits > _CLASS_BITS:
         keys, codes = _argsort_keys(keys, x_codes(0, size))
@@ -418,28 +398,27 @@ def _rank_sums(keys: np.ndarray, shift: np.uint64, codes: np.ndarray | None,
     return sums, excess
 
 
-def rank_correlation(x: np.ndarray, y: np.ndarray, *,
-                     overwrite_y: bool = False) -> float:
+def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rho with average ranks for ties; infinite values and the
     unreachable mark of unsigned hops rank as tied extreme blocks. NaN
     when either side holds a NaN or is constant.
 
+    y, the metres (non-negative float64, +inf allowed), is consumed: the
+    keys are built over it; another type goes to a float64 copy. A
+    negative metre or -0.0 raises `ValueError` unless x gave NaN first.
+
     The rank sums are exact integers on doubled ranks, so rho is the
     correctly rounded coefficient, whatever the order of the pairs. x is
     coded by its present tie blocks, and each pair becomes one uint64 key
-    of its y order and its x code (`_sorted_keys`), sorted in place; no
+    of its metre and its x code (`_sorted_keys`), sorted in place; no
     order, sorted copy or rank array of the pairs is built. Every pair in
     x block h has the same doubled rank A_h, so the cross sum is
     sum_h A_h * S_h, where S_h sums the doubled y ranks over that block
     (`_rank_sums`).
-
-    With `overwrite_y`, y may be overwritten by the keys (its values are
-    then lost); by default neither argument is written to.
     """
-    x, y = np.asarray(x), np.asarray(y)
+    x, y = np.asarray(x), np.ascontiguousarray(y, dtype=np.float64)
     size = x.size
-    if size < 2 or any(v.dtype.kind == "f" and np.isnan(v).any()
-                       for v in (x, y)):
+    if size < 2 or x.dtype.kind == "f" and np.isnan(x).any():
         return math.nan
     codes, x_lengths = _tie_codes(x)
     present = x_lengths > 0
@@ -448,9 +427,10 @@ def rank_correlation(x: np.ndarray, y: np.ndarray, *,
     if blocks < 2:
         return math.nan
     dense = (np.cumsum(present) - 1).astype(np.uint64)
-    keys, shift, sorted_codes = _sorted_keys(
-        y, lambda start, stop: dense[codes[start:stop]], blocks, overwrite_y)
-    sums, y_excess = _rank_sums(keys, shift, sorted_codes, blocks)
+    ranked = _sorted_keys(y, lambda i, j: dense[codes[i:j]], blocks)
+    if ranked is None:
+        return math.nan
+    sums, y_excess = _rank_sums(*ranked, blocks)
     cross = sum(a * s for a, s in zip(_doubled_ranks(x_lengths).tolist(),
                                       sums.tolist()))
     # P times the centred sums: the doubled ranks on each side sum to
@@ -506,8 +486,8 @@ def measure(g: ConfrontGraph, baseline: int | None = None,
     d_max 0, one with no pair at all (fewer than two vertices) d_harm 0,
     and fewer than two located vertices give rho_d NaN.
 
-    The profile is taken first; rho_d then ranks the pairs with the keys
-    written over the metres, which nothing reads afterwards.
+    The profile is taken first; rho_d then consumes the metres, which
+    nothing reads afterwards.
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
@@ -516,7 +496,7 @@ def measure(g: ConfrontGraph, baseline: int | None = None,
     spread, rho = None, math.nan
     if located is not None:
         spread = distance_profile(*located) if profile else None
-        rho = rank_correlation(*located, overwrite_y=True)
+        rho = rank_correlation(*located)
     summary = GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),

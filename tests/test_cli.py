@@ -786,6 +786,33 @@ def test_options_a_mode_would_ignore_are_usage_errors(capsys, tmp_path, argv,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,clash", [
+    *(pytest.param((command, "--objects", "{tmp}/o.csv", "--relations",
+                    "{tmp}/r.csv", "--method", "RFW_all", "--k", "5"),
+                   ("--k", "RFW_all"), id=f"{command}--k")
+      for command in ("extract", "stats", "communities")),
+    *(pytest.param((command, "--objects", "{tmp}/o.json", "--relations",
+                    "{tmp}/r.json", "--segments", "{tmp}/s.csv", *mode),
+                   ("--segments", "JSON"), id=f"{command}--segments")
+      for command, mode in (("extract", ("--method", "RFW_all")),
+                            ("stats", ("--method", "RFW_all")),
+                            ("sweep", ("--base", "EFS")),
+                            ("communities", ("--method", "RFW_all")))),
+])
+def test_options_the_register_would_ignore_are_usage_errors(
+        capsys, tmp_path, argv, clash):
+    """--k beside a method that takes none, and a segments file beside
+    JSON objects, which carry their segments inline. The register files
+    do not exist: each option is refused before any input is read."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    error = err.splitlines()[-1]
+    assert "error: " in error and all(option in error for option in clash)
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_communities_from_cache(capsys, db_files, tmp_path):
     graphs = tmp_path / "graphs"
     assert extract_all(capsys, db_files, graphs)[0] == 0

@@ -115,6 +115,13 @@ def test_structural_equality_includes_vertex_order():
     assert ab == ConfrontGraph([make_vertex("a"), make_vertex("b")], edges)
 
 
+def test_graphs_are_unhashable():
+    """Equality is structural, so a graph has no hash: an identity hash
+    would let a set hold two equal graphs."""
+    with pytest.raises(TypeError):
+        hash(make_graph([(0, 1)]))
+
+
 def test_unique_edges_keep_first_and_adopt_bindings():
     edges = [Edge("a", "b", R, target_segment=None),
              Edge("a", "b", R, target_segment="s2"),

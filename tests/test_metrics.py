@@ -240,8 +240,8 @@ def test_rank_correlation_is_invariant_under_monotone_transforms():
 def test_rank_correlation_extremes_and_degenerates():
     up = np.array([1.0, 2.0, 3.0, 4.0])
     down = np.array([9.0, 7.0, 5.0, 3.0])
-    assert rank_correlation(up, up) == 1.0
-    assert rank_correlation(up, down) == -1.0
+    assert rank_correlation(up, up.copy()) == 1.0
+    assert rank_correlation(up, down.copy()) == -1.0
     assert math.isnan(rank_correlation(up, np.full(4, 7.0)))
 
 
@@ -493,9 +493,9 @@ rank_values = st.one_of(st.integers(0, 40).map(float), st.just(math.inf),
              max_size=300)))
 def test_hop_ranks_equal_rankdata(values):
     """Both ways `rank_correlation` ranks against `rankdata`: the rank
-    pass over the sorted keys (metres) and the `np.unique` codes of other
-    values. A NaN makes every `rankdata` rank NaN, and the correlation
-    NaN on either side."""
+    pass over the sorted keys of the metres (the absolute values) and the
+    `np.unique` codes of other values. A NaN makes every `rankdata` rank
+    NaN, and the correlation NaN on either side."""
     array = np.array(values, dtype=float)
     want = rankdata(array)
     if np.isnan(array).any():
@@ -506,12 +506,14 @@ def test_hop_ranks_equal_rankdata(values):
         return
     # With each value in an x block of its own, the rank sums of the
     # blocks are the doubled ranks of the values.
+    metres = np.abs(array)
     keys, shift, codes = metrics._sorted_keys(
-        array, lambda start, stop: np.arange(start, stop, dtype=np.uint64),
+        metres.copy(),
+        lambda start, stop: np.arange(start, stop, dtype=np.uint64),
         array.size)
     sums, excess = metrics._rank_sums(keys, shift, codes, array.size)
-    assert np.array_equal(sums / 2, want)
-    ties = np.unique(array, return_counts=True)[1].tolist()
+    assert np.array_equal(sums / 2, rankdata(metres))
+    ties = np.unique(metres, return_counts=True)[1].tolist()
     assert excess == sum(c ** 3 - c for c in ties)
     codes, lengths = metrics._tie_codes(array)
     assert np.array_equal(metrics._doubled_ranks(lengths)[codes] / 2, want)
@@ -563,9 +565,9 @@ def test_rank_correlation_is_the_exact_spearman(pairs, rnd):
     want = exact_spearman(*zip(*pairs))
     rnd.shuffle(pairs)
     x, y = (np.array(v) for v in zip(*pairs))
-    assert same(rank_correlation(x, y), want)
+    assert same(rank_correlation(x, y.copy()), want)
     hops = np.where(np.isinf(x), 255, x).astype(np.uint8)
-    assert same(rank_correlation(hops, y), want)
+    assert same(rank_correlation(hops, y.copy()), want)
 
 
 def same_bits(a, b):
@@ -587,7 +589,8 @@ _METRES = _NEAR_TIES | st.floats(allow_nan=False) | st.integers(-3, 3).map(
 @st.composite
 def rank_sides(draw):
     """(x, y): hops as uint8 or uint16 (some at the unreachable mark) or
-    floats, against metres; either side may be constant."""
+    floats, against metres, the absolute values of those floats; either
+    side may be constant."""
     size = draw(st.integers(2, 120))
     kind = draw(st.sampled_from(("uint8", "uint16", "float")))
     if kind == "float":
@@ -596,7 +599,7 @@ def rank_sides(draw):
         mark = int(np.iinfo(kind).max)
         value = st.integers(0, 9) | st.just(mark) | st.integers(0, mark)
     sides = []
-    for element in (value, _METRES):
+    for element in (value, _METRES.map(abs)):
         if draw(st.integers(0, 9)) == 0:
             values = [draw(element)] * size
         else:
@@ -610,13 +613,14 @@ def rank_sides(draw):
 def test_rank_correlation_equals_the_argsort_oracle_bit_for_bit(sides, block):
     """The packed-key `rank_correlation` returns the bits of the earlier
     argsort version (`tests/rank_oracle.py`) on near-ties one ulp apart,
-    signed zeros, infinities, negatives and constant sides, for uint8,
-    uint16 and float x. Small key blocks put tie runs across block
-    edges."""
+    zeros, subnormals, infinities and constant sides, for uint8, uint16
+    and float x (signed zeros and negatives too). Small key blocks put
+    tie runs across block edges."""
     x, y = sides
+    metres = y.copy()
     with mock.patch.object(metrics, "_KEY_BLOCK", block):
         got = rank_correlation(x, y)
-    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
+    assert same_bits(got, argsort_oracle.rank_correlation(x, metres))
 
 
 @settings(deadline=None, max_examples=40)
@@ -630,15 +634,16 @@ def test_rank_correlation_argsort_step_equals_the_oracle(seed, block):
     size = int(rnd.integers(600, 1200))
     x = rnd.integers(0, 500, size).astype(np.uint16)
     x[rnd.random(size) < 0.1] = np.iinfo(np.uint16).max
-    y = rnd.choice((-1.0, 1.0, 0.0, 3.0), size) * np.ldexp(
-        1.0, rnd.integers(-300, 300, size))
+    y = np.abs(rnd.choice((-1.0, 1.0, 0.0, 3.0), size) * np.ldexp(
+        1.0, rnd.integers(-300, 300, size)))
     y[rnd.random(size) < 0.3] = 0.75
+    metres = y.copy()
     with mock.patch.object(metrics, "_KEY_BLOCK", block), \
             mock.patch.object(metrics, "_argsort_keys",
                               wraps=metrics._argsort_keys) as step:
         got = rank_correlation(x, y)
     assert step.call_count == 1
-    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
+    assert same_bits(got, argsort_oracle.rank_correlation(x, metres))
 
 
 def test_harmonic_mean_of_integer_hops_equals_the_float_formula():
@@ -723,16 +728,17 @@ def large_located_pairs():
 
 
 def test_rank_correlation_peak_memory_per_pair(large_located_pairs):
-    """Beyond its inputs, `rank_correlation` holds one packed uint64 key
-    per pair and blocks of a fixed size; the argsort step is not taken."""
+    """Beyond its inputs, `rank_correlation` holds blocks of a fixed
+    size: it writes its keys over the metres, here a copy made inside
+    the traced call, 8 bytes per pair. The argsort step is not taken."""
     _, pairs = large_located_pairs
     hops, metres = pairs.located
     with mock.patch.object(metrics, "_argsort_keys",
                            wraps=metrics._argsort_keys) as step:
-        peak = peak_bytes(rank_correlation, hops, metres)
+        peak = peak_bytes(lambda: rank_correlation(hops, metres.copy()))
     assert step.call_count == 0
     assert peak < 12 * hops.size
-    assert same_bits(rank_correlation(hops, metres),
+    assert same_bits(rank_correlation(hops, metres.copy()),
                      argsort_oracle.rank_correlation(hops, metres))
 
 
@@ -771,21 +777,43 @@ RANKED_DTYPES = [pytest.param(x, y, id=f"{x}-{y}")
 
 
 @pytest.mark.parametrize("x_dtype,y_dtype", RANKED_DTYPES)
-def test_rank_correlation_leaves_its_arguments_unchanged(x_dtype, y_dtype):
-    """By default `rank_correlation` writes to neither argument, even a
-    y of 8-byte values that `overwrite_y` lets it take for its keys;
-    with `overwrite_y` its result is the same."""
+def test_rank_correlation_writes_only_to_a_float64_y(x_dtype, y_dtype):
+    """`rank_correlation` never writes to x; it ranks a y of another type
+    than float64 in a float64 copy, so that y is unchanged too. The
+    result has the oracle's bits either way."""
     rnd = np.random.default_rng(5)
     x = rnd.integers(0, 12, 5000).astype(x_dtype)
     x[::17] = np.iinfo(x_dtype).max
     y = rnd.integers(0, 900, 5000).astype(y_dtype)
     if y_dtype == "float64":
-        y = y * 0.37 - 40.0
+        y = y * 0.37
     before = x.tobytes(), y.tobytes()
+    want = argsort_oracle.rank_correlation(x, y.copy())
     got = rank_correlation(x, y)
-    assert (x.tobytes(), y.tobytes()) == before
-    assert same_bits(got, argsort_oracle.rank_correlation(x, y))
-    assert same_bits(rank_correlation(x, y.copy(), overwrite_y=True), got)
+    assert x.tobytes() == before[0]
+    if y_dtype != "float64":
+        assert y.tobytes() == before[1]
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("metre", [-1.0, -0.0, -5e-324, -math.inf],
+                         ids=["-1", "-0", "-subnormal", "-inf"])
+@pytest.mark.parametrize("x_dtype", ["uint8", "uint16", "float64"])
+def test_rank_correlation_refuses_negative_metres(x_dtype, metre):
+    """A metre with its sign bit set is refused, whether the pairs would
+    be packed or ordered by the argsort step; a NaN metre beside it still
+    gives NaN."""
+    rnd = np.random.default_rng(7)
+    x = rnd.integers(0, 40, 1000).astype(x_dtype)
+    # Hundreds of exponents, beside 40 x blocks, need the argsort step.
+    for spread in (0, 300):
+        y = np.ldexp(rnd.random(1000), rnd.integers(-spread, spread + 1,
+                                                    1000))
+        y[500] = metre
+        with pytest.raises(ValueError, match="negative or -0.0"):
+            rank_correlation(x, y)
+        y[600] = math.nan
+        assert math.isnan(rank_correlation(x, y))
 
 
 def test_measure_over_the_argsort_step_equals_the_oracle():
@@ -1013,6 +1041,25 @@ def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
     assert np.array_equal(
         float_hops(located_hops),
         want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
+
+
+# Signed zeros, negatives, and coordinates whose differences overflow.
+_COORDINATES = (st.sampled_from((0.0, -0.0, 1.0, -1.0, -2.5, 1e308, -1e308))
+                | st.floats(-1e6, 1e6))
+
+
+@given(st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=2,
+                max_size=40))
+def test_pair_distances_metres_have_no_sign_bit_and_no_nan(coords):
+    """Every metre of `pair_distances` is +0.0 or more, +inf included:
+    never -0.0 or NaN, as `rank_correlation` requires of its metres.
+    Equal points, whose differences are signed zeros, give +0.0, and
+    coordinates 2e308 apart overflow to +inf."""
+    g = make_graph([(i, i + 1) for i in range(len(coords) - 1)],
+                   coords=dict(enumerate(coords)))
+    metres = metrics.pair_distances(g).located[1]
+    assert not np.signbit(metres).any()
+    assert not np.isnan(metres).any()
 
 
 def test_cli_import_leaves_out_every_scipy_module():
