@@ -24,8 +24,8 @@ from . import __version__
 from .community import community_network, community_stats, louvain, size_gini
 from .data_model import Database, load_database, validate_database
 from .errors import (ConflictingMerge, ConfrontNetError, EmptyResult,
-                     MalformedRecord, MissingLength, MissingSegments,
-                     TakenVertexId)
+                     GraphTooLarge, MalformedRecord, MissingLength,
+                     MissingSegments, TakenVertexId)
 from .extract import (DEFAULT_COMPONENT_THRESHOLD, METHOD_CODES,
                       ExtractionMethod, Scope, extract_each)
 from .graph import ConfrontGraph
@@ -270,22 +270,25 @@ def _warn_empty(label: str) -> None:
           file=sys.stderr)
 
 
-def _measure(graphs: Iterable[ConfrontGraph], baseline: int | None,
-             profile: bool
+def _measure(labels: list[str], graphs: Iterable[ConfrontGraph],
+             baseline: int | None, profile: bool
              ) -> list[tuple[GraphSummary, DistanceProfile | None]]:
-    """`measure` of each graph, taken one at a time. A graph equal to an
-    earlier one (vertex order included: a profile sums its metres in
-    pair order) takes over that one's result. Only what graph equality
-    compares is kept, not the graph with its index and pairs."""
+    """`measure` of each labelled graph, taken one at a time. A graph
+    equal to an earlier one (vertex order included: a profile sums its
+    metres in pair order) takes over that one's result. Only what graph
+    equality compares is kept, not the graph with its pairs."""
     done: list[tuple[tuple, tuple[GraphSummary, DistanceProfile | None]]] = []
     results = []
-    for g in graphs:
+    for label, g in zip(labels, graphs):
         key = (tuple(g.vertices.values()), g.edges)
         for seen, result in done:
             if seen == key:
                 break
         else:
-            result = measure(g, baseline, profile)
+            try:
+                result = measure(g, baseline, profile)
+            except GraphTooLarge as exc:
+                raise GraphTooLarge(f"graph {label!r}: {exc}") from None
             done.append((key, result))
         results.append(result)
     return results
@@ -303,10 +306,11 @@ def cmd_extract(args: argparse.Namespace,
         {"k": args.k, "threshold": args.threshold, "format": args.format})
     mhash = manifest["manifest_hash"]
     if args.all:
+        labels = ["full", *codes]
         summaries = [summary for summary, _ in _measure(
-            [full, *graphs], full.property_count(), False)]
+            labels, [full, *graphs], full.property_count(), False)]
         rows = [_stats_row(label, summary)
-                for label, summary in zip(["full", *codes], summaries)]
+                for label, summary in zip(labels, summaries)]
         atomic_write_bytes(args.out / "stats.csv",
                            _render_csv(STATS_COLUMNS, rows,
                                        f"manifest: {mhash}"))
@@ -336,13 +340,13 @@ def cmd_stats(args: argparse.Namespace,
             raise MalformedRecord(
                 f"no {CACHE_SUFFIX} files in {args.graphs}")
         labels = [path.name[:-len(CACHE_SUFFIX)] for path in caches]
-        measured = _measure((read_cache(path) for path in caches),
+        measured = _measure(labels, (read_cache(path) for path in caches),
                             args.baseline, args.profile)
         parameters: dict = {"baseline": args.baseline}
     else:
         codes, full, variants = _extractions(args, parser)
         labels = ["full", *codes]
-        measured = _measure(itertools.chain([full], variants),
+        measured = _measure(labels, itertools.chain([full], variants),
                             full.property_count(), args.profile)
         parameters = {"k": args.k, "threshold": args.threshold}
     manifest = build_manifest("stats", args, labels, parameters)

@@ -191,12 +191,10 @@ def louvain(g: ConfrontGraph, seed: int = 0) -> CommunityPartition:
 
     renumber: dict[int, int] = {}
     assignment: dict[str, int] = {}
-    for pos, vid in enumerate(ids):
-        c = node_comm[pos]
-        if c not in renumber:
-            renumber[c] = len(renumber) + 1
-        assignment[vid] = renumber[c]
-    q = _modularity_labels(g, [assignment[vid] for vid in ids])
+    for vid, c in zip(ids, node_comm):
+        assignment[vid] = renumber.setdefault(c, len(renumber) + 1)
+    # Renumbered, each label is met in the same order: the same Q's bits.
+    q = levels[-1] if levels else _modularity_labels(g, node_comm)
     return CommunityPartition(assignment=assignment, modularity=q,
                               level_modularities=tuple(levels))
 

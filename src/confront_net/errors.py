@@ -55,6 +55,10 @@ class MissingSegments(ConfrontNetError):
     """A street must be split but has no segment decomposition."""
 
 
+class GraphTooLarge(ConfrontNetError):
+    """A graph's pair vectors do not fit in memory."""
+
+
 class EmptyResult(ConfrontNetError):
     """A single --method's variant or a graph to partition is empty."""
 

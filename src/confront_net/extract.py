@@ -167,41 +167,34 @@ def _stand_in(obj: SpatialObject, binding: str | None) -> str:
 
 def _plan(g: ConfrontGraph, db: Database,
           method: ExtractionMethod) -> tuple[set[str], set[str]]:
-    """Decide which vertices get removed and which get split."""
+    """The vertices to remove and to split; the rest stay whole, punctual
+    ones always. Under the streets and k scopes a non-street is removed,
+    and under k a street outside the k longest stays whole. Under W the k
+    longest are removed under k. Under S an object with segments is split;
+    without, one of the k longest is refused, a non-street under all is
+    removed, and a street stays whole: it has no recorded decomposition."""
     remove: set[str] = set()
     split: set[str] = set()
-    top_k: set[str] = set()
-    if method.scope is Scope.TOP_K:
-        top_k = set(_rank_streets(db)[:method.k])
+    top_k = (set(_rank_streets(db)[:method.k])
+             if method.scope is Scope.TOP_K else set())
     for v in g.vertices.values():
         if v.dim is Dimensionality.PUNCTUAL:
             continue
         obj = db.objects[v.id]
-        if method.scope is Scope.ALL:
-            if not method.split:
-                continue
-            if obj.segments:
-                split.add(v.id)
-            elif not obj.is_street:
+        if method.scope is not Scope.ALL and not obj.is_street:
+            remove.add(v.id)
+        elif method.scope is Scope.TOP_K and v.id not in top_k:
+            continue
+        elif not method.split:
+            if method.scope is Scope.TOP_K:
                 remove.add(v.id)
-            # Segmentless streets stay whole: no recorded decomposition.
-        elif method.scope is Scope.STREETS_ONLY:
-            if not obj.is_street:
-                remove.add(v.id)
-            elif method.split and obj.segments:
-                split.add(v.id)
-        else:  # TOP_K
-            if not obj.is_street:
-                remove.add(v.id)
-            elif v.id in top_k:
-                if method.split:
-                    if not obj.segments:
-                        raise MissingSegments(
-                            f"street {v.id!r} is among the {method.k} "
-                            f"longest but has no segments to split into")
-                    split.add(v.id)
-                else:
-                    remove.add(v.id)
+        elif obj.segments:
+            split.add(v.id)
+        elif method.scope is Scope.TOP_K:
+            raise MissingSegments(f"street {v.id!r} is among the {method.k} "
+                                  f"longest but has no segments to split into")
+        elif not obj.is_street:
+            remove.add(v.id)
     return remove, split
 
 
@@ -300,10 +293,8 @@ def filter_components(g: ConfrontGraph, threshold: int) -> ConfrontGraph:
         raise MalformedRecord(f"threshold must be >= 1, got {threshold}")
     if threshold == 1:
         return g
-    keep: set[str] = set()
-    for component in g.components():
-        if len(component) >= threshold:
-            keep.update(component)
+    keep = {vid for component in g.components()
+            if len(component) >= threshold for vid in component}
     if not keep:
         return ConfrontGraph([], [])
     if len(keep) == g.n:

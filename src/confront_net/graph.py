@@ -95,7 +95,6 @@ class ConfrontGraph:
                         f"join two segments of one object")
         self.method = method
         self.meta: dict[str, Any] = dict(meta or {})
-        self._index: dict[str, int] | None = None
         self._pairs: list[tuple[int, int]] | None = None
 
     # --- basic accessors --------------------------------------------------
@@ -132,10 +131,8 @@ class ConfrontGraph:
     # --- collapsed undirected simple view ---------------------------------
 
     def vertex_index(self) -> dict[str, int]:
-        """Vertex id -> position in insertion order."""
-        if self._index is None:
-            self._index = {vid: i for i, vid in enumerate(self._vertices)}
-        return self._index
+        """Vertex id -> position in insertion order, as a new dict."""
+        return {vid: i for i, vid in enumerate(self._vertices)}
 
     def undirected_pairs(self) -> list[tuple[int, int]]:
         """Distinct unordered adjacent index pairs (i < j), first-seen order.

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GraphTooLarge
 from .graph import ConfrontGraph
 
 #: Values per `np.bincount` call (its intp copy takes 512 KiB).
@@ -487,16 +488,20 @@ def measure(g: ConfrontGraph, baseline: int | None = None,
     and fewer than two located vertices give rho_d NaN.
 
     The profile is taken first; rho_d then consumes the metres, which
-    nothing reads afterwards.
+    nothing reads afterwards. Out of memory raises `GraphTooLarge`.
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
-    pairs = pair_distances(g)
-    located = pairs.located
     spread, rho = None, math.nan
-    if located is not None:
-        spread = distance_profile(*located) if profile else None
-        rho = rank_correlation(*located)
+    try:
+        pairs = pair_distances(g)
+        if pairs.located is not None:
+            spread = distance_profile(*pairs.located) if profile else None
+            rho = rank_correlation(*pairs.located)
+    except MemoryError:
+        count = sum(v.coord is not None for v in g.vertices.values())
+        raise GraphTooLarge(f"out of memory at n={g.n} with "
+                            f"{math.comb(count, 2)} located pairs") from None
     summary = GraphSummary(
         n=g.n, m=g.m, delta=density(g), property_count=properties,
         property_coverage=coverage, components=len(g.components()),

@@ -211,8 +211,9 @@ def measure_each(monkeypatch):
     """Make `cli._measure` measure every graph on its own, reusing no
     earlier result."""
     real = cli._measure
-    monkeypatch.setattr(cli, "_measure", lambda graphs, baseline, profile: [
-        result for g in graphs for result in real([g], baseline, profile)])
+    monkeypatch.setattr(cli, "_measure", lambda labels, graphs, *args: [
+        result for label, g in zip(labels, graphs)
+        for result in real([label], [g], *args)])
 
 
 def test_measure_reuses_a_result_only_for_an_equal_graph(count_calls):
@@ -225,7 +226,8 @@ def test_measure_reuses_a_result_only_for_an_equal_graph(count_calls):
                              method=ExtractionMethod.from_code("EFS_all"))
     reordered = ConfrontGraph(reversed(list(g.vertices.values())), g.edges)
     measured = count_calls(cli, "measure")
-    results = cli._measure([g, labelled, reordered], None, True)
+    results = cli._measure(["g", "labelled", "reordered"],
+                           [g, labelled, reordered], None, True)
     assert [id(graph) for graph in measured] == [id(g), id(reordered)]
     assert results[1] is results[0]
     assert results[2] is not results[0]
@@ -561,6 +563,43 @@ def test_a_loader_duplicate_id_names_its_file_once(capsys, tmp_path):
                "--method", "RFW_all") == (
         2, "", f"error: duplicate object id 'p' "
                f"[{objects}:{len(lines) + 1}]\n")
+
+
+OUT_OF_MEMORY_COMMANDS = {
+    "stats-method": ("stats", "--method", "EFS_k", "--k", "1"),
+    "stats-all": ("stats", "--all", "--k", "1"),
+    "extract-all": ("extract", "--all", "--k", "1", "--out", "{out}"),
+    "sweep": ("sweep", "--base", "EFS", "--out", "{out}/sweep.csv"),
+    "communities": ("communities", "--method", "RFW_all", "--out", "{out}")}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_MEMORY_COMMANDS.values(),
+                         ids=OUT_OF_MEMORY_COMMANDS)
+def test_a_graph_out_of_memory_is_a_data_error(capsys, monkeypatch, db_files,
+                                               tmp_path, argv):
+    """A MemoryError while measuring a graph exits 2, naming the graph's
+    n and located pair count, and its label where the command has one;
+    nothing is written and no traceback is printed."""
+    measured = []
+
+    def out_of_memory(g):
+        measured.append(g)
+        raise MemoryError
+
+    monkeypatch.setattr(metrics, "pair_distances", out_of_memory)
+    out = tmp_path / "out"
+    code, printed, err = run(capsys, argv[0], *db_files["argv"],
+                             *(a.format(out=out) for a in argv[1:]))
+    (g,) = measured
+    located = sum(v.coord is not None for v in g.vertices.values())
+    label = "graph 'full': " if argv[0] in ("stats", "extract") else ""
+    assert (code, printed) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: {label}out of memory at n={g.n} with "
+        f"{located * (located - 1) // 2} located pairs")
+    assert "Traceback" not in err
+    assert g.n > 0 and located > 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,out,printed", [

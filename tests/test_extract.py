@@ -381,6 +381,71 @@ def test_missing_segments_blocks_topk_split():
     assert "X" in str(exc.value)
 
 
+# --- the plan, as a table of its rules ------------------------------------
+
+def plan_db():
+    """A property and a punctual street, then one non-punctual object of
+    each sort the plan tells apart: streets L1 > L2 > S1 > S2 by length,
+    L1 and S1 with segments; non-streets N1 with segments, N2 without."""
+    seg = (Segment("a"), Segment("b"))
+    objects = [
+        prop("p"),
+        street("pst", dim=Dimensionality.PUNCTUAL, length=None),
+        street("L1", segments=seg, length=400.0),
+        street("L2", length=300.0),
+        street("S1", segments=seg, length=200.0),
+        street("S2", length=100.0),
+        SpatialObject("N1", "wall", ObjectKind.DEFENSIVE_SYSTEM,
+                      Dimensionality.LINEAR, segments=seg),
+        SpatialObject("N2", "parish", ObjectKind.PARISH_OR_SECTOR,
+                      Dimensionality.SURFACE),
+    ]
+    relations = [RelationRecord(f"r{i}", "p", o.id, "Juxta")
+                 for i, o in enumerate(objects[1:])]
+    return Database.from_parts(objects, relations)
+
+
+#: The plan's rules, written out for plan_db: by W/S, scope and (for the
+#: k scope) k, the fates of L1, L2, S1, S2, N1 and N2 in that order, as
+#: w kept whole, r removed, s split; or the street whose missing segments
+#: refuse the plan. Punctual objects are always kept whole, and H/F, R/E
+#: and a k outside the k scope play no part.
+PLAN = {
+    ("W", "all", None): "wwwwww",
+    ("W", "streets", None): "wwwwrr",
+    ("W", "k", 0): "wwwwrr",
+    ("W", "k", 1): "rwwwrr",
+    ("W", "k", 2): "rrwwrr",
+    ("W", "k", 3): "rrrwrr",
+    ("S", "all", None): "swswsr",
+    ("S", "streets", None): "swswrr",
+    ("S", "k", 0): "wwwwrr",
+    ("S", "k", 1): "swwwrr",
+    ("S", "k", 2): "L2",
+    ("S", "k", 3): "L2",
+}
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("code", METHOD_CODES)
+def test_the_plan_follows_its_rules(code, k):
+    db = plan_db()
+    g = build_full_graph(db)
+    m = method(code, k=k)
+    expected = PLAN[code[2], m.scope.value,
+                    k if m.scope is Scope.TOP_K else None]
+    if expected == "L2":
+        with pytest.raises(MissingSegments,
+                           match=rf"^street 'L2' is among the {k} longest "
+                                 rf"but has no segments to split into$"):
+            extract_module._plan(g, db, m)
+        return
+    fates = dict(zip(["L1", "L2", "S1", "S2", "N1", "N2"], expected))
+    assert extract_module._plan(g, db, m) == (
+        {vid for vid, fate in fates.items() if fate == "r"},
+        {vid for vid, fate in fates.items() if fate == "s"})
+
+
 # --- additional injection -------------------------------------------------
 
 def inject_db():

@@ -677,25 +677,6 @@ def test_distance_profile_of_a_uint16_graph_equals_the_seed_formula():
     assert profile == seed_era_statistics(g)[3]
 
 
-def test_summarize_peak_memory_per_located_pair():
-    """Under tracemalloc, `summarize` on a graph of 180k located pairs
-    peaks below 32 bytes per located pair: the hop matrix, one byte per
-    cell, the located vectors, 9 bytes per pair, and the rank work."""
-    rnd = random.Random(3)
-    side, n = 25, 640
-    coords = {i: (10.0 * (i % side) + rnd.random(),
-                  10.0 * (i // side) + rnd.random())
-              for i in range(n) if i % 20}
-    edges = ([(i, i + 1) for i in range(n - 1)
-              if (i + 1) % side and rnd.random() < 0.9]
-             + [(i, i + side) for i in range(n - side) if rnd.random() < 0.5])
-    g = make_graph(edges, n=n + 5, coords=coords)
-    pairs = len(coords) * (len(coords) - 1) // 2
-    assert pairs >= 100_000
-    summarize(make_graph([(0, 1)], coords={0: (0.0, 0.0), 1: (1.0, 0.0)}))
-    assert peak_bytes(summarize, g) < 32 * pairs
-
-
 def peak_bytes(function, *args):
     """The tracemalloc peak of one call, after a warm-up call."""
     function(*args)
@@ -752,7 +733,7 @@ def test_distance_profile_peak_memory_per_pair(large_located_pairs):
 
 @pytest.mark.parametrize("profile", (False, True))
 def test_measure_peak_memory_per_located_pair(profile):
-    """On the 184,528 located pairs of the street grid above, `measure`
+    """On the 184,528 located pairs of this street grid, `measure`
     peaks below 14 bytes per pair, with or without its profile: 1 hop
     byte and 8 bytes that hold the metre and then its key, the hop
     matrix (released before the metres are filled) and blocks. A second
