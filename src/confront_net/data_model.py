@@ -20,7 +20,7 @@ from typing import Any
 
 from .errors import (ConfrontNetError, DanglingEndpoint, DuplicateId,
                      MalformedRecord, UnknownRawType)
-from .relation_types import is_known_raw_type
+from .relation_types import RAW_RELATION_TYPES
 
 
 class ObjectKind(Enum):
@@ -176,7 +176,7 @@ class RelationRecord:
             raise MalformedRecord(
                 f"relation {self.id!r}: self-loop on {self.source_id!r} "
                 f"(rejected for all types, Egal included)")
-        if not is_known_raw_type(self.raw_type):
+        if self.raw_type not in RAW_RELATION_TYPES:
             raise UnknownRawType(
                 f"relation {self.id!r}: unknown raw type {self.raw_type!r}")
 

@@ -12,10 +12,9 @@ from dataclasses import replace
 
 from .data_model import (Database, Dimensionality, ObjectKind,
                          RelationRecord, SpatialObject, unique_by)
-from .errors import ConflictingMerge
+from .errors import ConflictingMerge, UnknownRawType, UnmappableType
 from .graph import connected_components
-from .relation_types import (EGAL, NORMALIZATION_TABLE, NormalizedType,
-                             normalize_raw)
+from .relation_types import EGAL, NORMALIZATION_TABLE, RULES, NormalizedType
 
 
 def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:
@@ -23,12 +22,23 @@ def normalize_relation_type(raw: str, target: SpatialObject) -> NormalizedType:
 
     Street targets take the street branch where one exists, regardless
     of their dimensionality; otherwise surface targets take the surface
-    branch and everything else the default.
+    branch and everything else the default. Raises UnknownRawType for a
+    type outside the vocabulary and UnmappableType for ``Egal``, which
+    callers resolve by merging instead.
     """
-    return normalize_raw(
-        raw,
-        target_is_street=target.kind is ObjectKind.STREET,
-        target_is_surface=target.dim is Dimensionality.SURFACE)
+    try:
+        rule = RULES[raw]
+    except KeyError:
+        raise UnknownRawType(f"unknown raw relation type {raw!r}") from None
+    if raw == EGAL:
+        raise UnmappableType(
+            "'Egal' marks two records of the same object; merge them "
+            "instead of normalizing")
+    if target.kind is ObjectKind.STREET and rule.street is not None:
+        return rule.street
+    if target.dim is Dimensionality.SURFACE:
+        return rule.surface
+    return rule.other
 
 
 _FILLABLE = ("coord", "length_m", "parish", "inside_old_walls")

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnknownRawType, UnmappableType
-
 TABLE_VERSION = "1.0"
 
 #: Raw type expressing record identity. Handled by vertex merging, not mapping.
@@ -54,12 +52,10 @@ def hierarchy_class(normalized: NormalizedType) -> HierarchyClass:
 
 @dataclass(frozen=True)
 class NormalizationRule:
-    """Mapping for one raw type.
-
-    Resolution order against the target object: ``street`` when the target
-    is a street and the rule carries a street-specific branch, otherwise
-    ``surface`` for surface targets, otherwise ``other``. Rules without a
-    street branch treat streets purely by their dimensionality.
+    """Mapping for one raw type: its Latin spelling (``raw_type``), an
+    English ``translation``, and the normalized type towards a street
+    (``street``, or ``None`` when streets map like any other target), a
+    surface (``surface``) and any other target (``other``).
     """
 
     raw_type: str
@@ -130,39 +126,9 @@ NORMALIZATION_TABLE: tuple[NormalizationRule, ...] = (
     _uniform("Versus", "Towards", _R),
 )
 
-_RULES: dict[str, NormalizationRule] = {r.raw_type: r for r in NORMALIZATION_TABLE}
+RULES: dict[str, NormalizationRule] = {r.raw_type: r for r in NORMALIZATION_TABLE}
 
 #: All recognizable raw spellings, Egal included.
-RAW_RELATION_TYPES: frozenset[str] = frozenset(_RULES)
+RAW_RELATION_TYPES: frozenset[str] = frozenset(RULES)
 
 assert len(NORMALIZATION_TABLE) == 42, "vocabulary must stay exhaustive"
-
-
-def is_known_raw_type(raw: str) -> bool:
-    return raw in _RULES
-
-
-def rule_for(raw: str) -> NormalizationRule:
-    try:
-        return _RULES[raw]
-    except KeyError:
-        raise UnknownRawType(f"unknown raw relation type {raw!r}") from None
-
-
-def normalize_raw(raw: str, *, target_is_street: bool,
-                  target_is_surface: bool) -> NormalizedType:
-    """Map a raw type to its normalized form given the target's shape.
-
-    Raises UnknownRawType for vocabulary misses and UnmappableType for
-    ``Egal``, which callers must resolve by merging instead.
-    """
-    rule = rule_for(raw)
-    if raw == EGAL:
-        raise UnmappableType(
-            "'Egal' marks two records of the same object; merge them "
-            "instead of normalizing")
-    if target_is_street and rule.street is not None:
-        return rule.street
-    if target_is_surface:
-        return rule.surface
-    return rule.other

@@ -288,6 +288,11 @@ def read_cache(path: str | Path) -> ConfrontGraph:
         raise MalformedRecord(
             f"unsupported cache version {payload.get('version')!r} "
             f"(expected {CACHE_VERSION})", path=str(path))
+    if payload.get("table_version") != TABLE_VERSION:
+        raise MalformedRecord(
+            f"cache written under normalization table "
+            f"{payload.get('table_version')!r} (expected {TABLE_VERSION!r})",
+            path=str(path))
     try:
         vertices = [_cached_vertex(row) for row in payload["vertices"]]
         edges = [_cached_edge(row) for row in payload["edges"]]

@@ -971,6 +971,25 @@ def test_an_unreadable_cache_is_a_located_data_error(capsys, tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["stats", "communities"])
+def test_a_cache_from_another_normalization_table_is_refused(
+        capsys, tmp_path, command):
+    graphs = tmp_path / "graphs"
+    path = graphs / f"g{CACHE_SUFFIX}"
+    write_cache(make_graph([(0, 1), (1, 2)],
+                           coords={i: (float(i), 0.0) for i in range(3)}),
+                path)
+    payload = json.loads(gzip.decompress(path.read_bytes()))
+    payload["table_version"] = "0.1-stale"
+    path.write_bytes(gzip.compress(json.dumps(payload).encode()))
+    argv = (["stats", "--graphs", str(graphs)] if command == "stats" else
+            ["communities", "--graph", str(path),
+             "--out", str(tmp_path / "out")])
+    assert run(capsys, *argv) == (
+        2, "", f"error: cache written under normalization table "
+               f"'0.1-stale' (expected '1.0') [{path}]\n")
+
+
 # An integer too large for a float, as JSON text: 10**400 overflows a
 # float; a 5000-digit literal also exceeds Python's int parsing limit.
 BIG = "1" + "0" * 400

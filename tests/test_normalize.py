@@ -15,7 +15,8 @@ from conftest import egal_heavy, property_baseline, synthetic_database
 from confront_net.data_model import (Database, Dimensionality, ObjectKind,
                                      RelationOrigin, RelationRecord, Segment,
                                      SpatialObject)
-from confront_net.errors import ConflictingMerge, UnmappableType
+from confront_net.errors import (ConflictingMerge, UnknownRawType,
+                                 UnmappableType)
 from confront_net.normalize import (merge_equal_objects, normalization_rows,
                                     normalize_relation_type)
 from confront_net.relation_types import (EGAL, RAW_RELATION_TYPES,
@@ -115,6 +116,17 @@ def test_normalization_matches_frozen_table(raw, shape):
 def test_egal_never_normalizes():
     with pytest.raises(UnmappableType):
         normalize_relation_type(EGAL, TARGETS["punctual"])
+
+
+@pytest.mark.parametrize("raw,error,message", [
+    ("Besides", UnknownRawType, "unknown raw relation type 'Besides'"),
+    (EGAL, UnmappableType, "'Egal' marks two records of the same object; "
+     "merge them instead of normalizing"),
+], ids=["unknown", "egal"])
+def test_normalization_refusals_name_the_type(raw, error, message):
+    with pytest.raises(error) as exc:
+        normalize_relation_type(raw, TARGETS["surface_street"])
+    assert str(exc.value) == message
 
 
 def test_hierarchy_classes():

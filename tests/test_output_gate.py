@@ -5,11 +5,17 @@ the register generator and the hashing rule are perfbench's own
 (`run.WORKLOADS`, `run.write_register`, `run.output_digests`), so the
 gate has no second copy of them. The seeds are spread over the 64 of
 the reference: rho_d and d_harm are rounded once, and a seed near a
-printed digit's boundary shows a change of rounding."""
+printed digit's boundary shows a change of rounding.
+
+perfbench gates no stdout of the `communities` workload, so its three
+commands' stdout (the community count, Q, the size Gini and the level
+modularities) is compared line by line with
+`golden_communities_stdout.json`, recorded per register seed."""
 
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -18,6 +24,7 @@ import pytest
 from confront_net import cli
 
 SEEDS = (0, 21, 42, 63)
+COMMUNITIES_STDOUT = Path(__file__).with_name("golden_communities_stdout.json")
 
 
 def load_perfbench_run():
@@ -66,3 +73,9 @@ def test_the_result_tables_match_the_reference(name, seed, reference,
     assert gated == reference["workloads"][name][str(seed)]["gated"], (
         f"{name} at register seed {seed}: the result tables differ from "
         f"perfbench/reference.json")
+    if name == "communities":
+        lines = [ln for c in commands for ln in c["stdout"].splitlines()]
+        golden = json.loads(COMMUNITIES_STDOUT.read_text())[str(seed)]
+        assert lines == golden, (
+            f"communities at register seed {seed}: the stdout differs from "
+            f"{COMMUNITIES_STDOUT.name}")
