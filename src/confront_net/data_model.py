@@ -20,7 +20,7 @@ from typing import Any
 
 from .errors import (ConfrontNetError, DanglingEndpoint, DuplicateId,
                      MalformedRecord, UnknownRawType)
-from .relation_types import RAW_RELATION_TYPES
+from .relation_types import EGAL, RAW_RELATION_TYPES
 
 
 class ObjectKind(Enum):
@@ -58,7 +58,7 @@ _FIXED_DIMS: dict[ObjectKind, frozenset[Dimensionality]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One ordered piece of a splittable object."""
 
@@ -93,7 +93,7 @@ def _check_coord(coord: Any, owner: str) -> tuple[float, float] | None:
     return xy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpatialObject:
     id: str
     name: str
@@ -159,7 +159,7 @@ class SpatialObject:
         return tuple(s.id for s in self.segments)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationRecord:
     id: str
     source_id: str
@@ -532,9 +532,12 @@ def validate_database(db: Database) -> list[str]:
         if obj.is_rankable_street and obj.length_m is None:
             warnings.append(f"missing-length: {obj.dim.value} street "
                             f"{obj.id!r} has no length_m")
+    # An Egal relation binds no segment: it is merged away before
+    # extraction.
     for rel in db.relations:
         target = db.objects[rel.target_id]
-        if target.segments and rel.target_segment is None:
+        if (target.segments and rel.target_segment is None
+                and rel.raw_type != EGAL):
             warnings.append(
                 f"unassigned-segment: relation {rel.id!r} targets segmented "
                 f"object {rel.target_id!r} without a target_segment")

@@ -27,7 +27,7 @@ class EdgeOrigin:
     ARTIFICIAL = "Artificial"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """An object, or one segment of a split object."""
 
@@ -45,7 +45,7 @@ class Vertex:
         return self.kind is ObjectKind.PROPERTY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     target: str

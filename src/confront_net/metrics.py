@@ -35,10 +35,15 @@ then its key. `pair_distances` fills the hops, releases the n x n hop
 matrix and only then fills the metres; `measure` takes the distance
 profile first, and `rank_correlation` then writes the keys over the
 metres. No rank array of the pairs is built, and an order of them only
-by the argsort step. `distance_profile` fills each hop bucket's metres
-into a buffer of the bucket's size, block by block in pair order, so its
-means and stds sum the same values in the same order as the stable hop
-sort of earlier versions did.
+by the argsort step. For a profile, `pair_distances` places the metres
+in hop order, a stable counting sort in blocks of rows, so each hop
+bucket is one slice of the metre vector, in pair order inside it.
+`distance_profile` reads the slices without a copy: numpy's pairwise
+sum splits an array by its length alone (Higham, "The accuracy of
+floating point summation", SIAM J. Sci. Comput. 14(4), 1993), so a
+bucket's `mean` sums the same values in the same order as the stable
+hop sort of earlier versions did, and its std, summed leaf by leaf at
+numpy's own split points, equals `np.std` of the bucket bit for bit.
 """
 
 from __future__ import annotations
@@ -94,7 +99,9 @@ class DistanceProfile:
 class PairDistances:
     """The result of one hop pass, over unordered pairs i < j; the
     located vectors follow the row-major upper triangle of the located
-    vertices, in vertex order."""
+    vertices, in vertex order, or, from `pair_distances(g, by_hop=True)`,
+    that order made stable by ascending hop count: the hops are then
+    non-decreasing and each hop bucket is one slice."""
 
     # histogram[h] counts the pairs h hops apart; its last bucket, at the
     # unreachable mark, counts the disconnected pairs.
@@ -184,13 +191,15 @@ def _blocked_bincount(values: np.ndarray, minlength: int) -> np.ndarray:
     return counts
 
 
-def pair_distances(g: ConfrontGraph) -> PairDistances:
+def pair_distances(g: ConfrontGraph, by_hop: bool = False) -> PairDistances:
     """Run the all-pairs hop search once and keep what the statistics
-    read: the hop histogram of every pair and the located pair vectors.
+    read: the hop histogram of every pair and the located pair vectors,
+    in hop order with `by_hop`.
 
     The located vectors are filled row by row: the hops from the hop
     matrix, in its type, then, once the matrix is released, the metres,
-    which `np.hypot` writes in place from two coordinate columns. No
+    which `np.hypot` writes in place from two coordinate columns, or
+    with `by_hop` into a block buffer that `_place_by_hop` empties. No
     index array, float matrix or coordinate-difference array is built.
     """
     matrix = all_pairs_graph_distance(g)
@@ -207,18 +216,65 @@ def pair_distances(g: ConfrontGraph) -> PairDistances:
     x, y = np.array([c for _, c in located], dtype=float).T.copy()
     # Row k holds the pairs (k, k + 1), ..., (k, last).
     starts = [0, *itertools.accumulate(range(len(idx) - 1, 0, -1))]
-    rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
     located_hops = np.empty(starts[-1], matrix.dtype)
-    for k, row in enumerate(rows):
-        located_hops[row] = matrix[idx[k], idx[k + 1:]]
+    for k in range(len(idx) - 1):
+        located_hops[starts[k]:starts[k + 1]] = matrix[idx[k], idx[k + 1:]]
     del matrix
     metres = np.empty(starts[-1])
+
+    def fill(first: int, stop: int, out: np.ndarray) -> None:
+        """Write the metres of rows first to stop - 1 from out[0] on."""
+        for k in range(first, stop):
+            np.hypot(x[k] - x[k + 1:], y[k] - y[k + 1:],
+                     out=out[starts[k] - starts[first]:
+                             starts[k + 1] - starts[first]])
+
     # Coordinates a float64 difference overflows give an infinite metre,
     # which ranks as a tied extreme value.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, row in enumerate(rows):
-            np.hypot(x[k] - x[k + 1:], y[k] - y[k + 1:], out=metres[row])
+        if by_hop:
+            _place_by_hop(located_hops, metres, starts, fill)
+        else:
+            fill(0, len(idx) - 1, metres)
     return PairDistances(histogram, (located_hops, metres))
+
+
+def _place_by_hop(hops: np.ndarray, metres: np.ndarray, starts: list[int],
+                  fill: Callable[[int, int, np.ndarray], None]) -> None:
+    """Write the metres into `metres` grouped by ascending hop count,
+    in pair order inside each bucket, then rewrite `hops` as its runs.
+
+    Rows that `starts` delimits are taken in blocks of whole rows of
+    about `_KEY_BLOCK` pairs. `fill` writes a block's metres into a
+    buffer; a stable argsort of its hops, a radix sort for unsigned
+    integers, orders them, and each goes to its bucket's cursor plus its
+    rank among the block's pairs of that bucket. The cursors start at
+    the buckets' offsets in the located hop histogram.
+    """
+    counts = _blocked_bincount(hops, _unreachable(hops) + 1)
+    cursor = np.cumsum(counts) - counts
+    rows = len(starts) - 1
+    buffer = np.empty(min(starts[-1], _KEY_BLOCK + rows))
+    first = 0
+    for stop in range(1, rows + 1):
+        if starts[stop] - starts[first] < _KEY_BLOCK and stop < rows:
+            continue
+        fill(first, stop, buffer)
+        block = hops[starts[first]:starts[stop]]
+        order = np.argsort(block, kind="stable")
+        block = block[order]
+        runs = np.append(0, np.flatnonzero(block[1:] != block[:-1]) + 1)
+        values = block[runs]
+        lengths = np.diff(runs, append=block.size)
+        # Sorted position j, in a run that starts at r, goes to j - r
+        # past its bucket's cursor.
+        place = np.repeat(cursor[values] - runs, lengths)
+        place += np.arange(block.size)
+        metres[place] = buffer[order]
+        cursor[values] += lengths
+        first = stop
+    for h in np.flatnonzero(counts).tolist():
+        hops[cursor[h] - counts[h]:cursor[h]] = h
 
 
 def _finite_max(histogram: np.ndarray) -> int:
@@ -445,28 +501,45 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
     return _ratio_to_root(size * cross - square_of_sum, var_x * var_y)
 
 
+def _squares_sum(values: np.ndarray, mean: float) -> np.floating:
+    """The sum of (v - mean)^2 over `values` as `np.std` takes it: split
+    where numpy's pairwise sum splits an array of this length, down to
+    leaves of at most `_KEY_BLOCK` values, each summed by
+    `np.add.reduce`, whose own splits are the same. numpy splits every
+    length above 128, so `_KEY_BLOCK` must be 128 or more."""
+    size = values.size
+    if size <= _KEY_BLOCK:
+        leaf = values - mean
+        leaf *= leaf
+        return np.add.reduce(leaf)
+    half = size // 2 - size // 2 % 8
+    return (_squares_sum(values[:half], mean)
+            + _squares_sum(values[half:], mean))
+
+
 def distance_profile(hops: np.ndarray, metres: np.ndarray) -> DistanceProfile:
     """Mean and std of the spatial distance per hop count, over the
-    located pair vectors of `pair_distances`.
+    located pair vectors of `pair_distances(g, by_hop=True)`.
 
     The buckets go in ascending h, so the unreachable bucket is last.
-    Each is filled, block by block in the pairs' own order, into a
-    buffer sized from the hop histogram, so only one bucket and one
-    block mask are held at a time.
+    Each is a slice of the metres, whose `mean` and `_squares_sum` equal
+    `np.mean` and `np.std`'s sum of a copy, bit for bit; only blocks are
+    held. Hops that are not non-decreasing raise `ValueError`.
     """
+    for start in range(0, hops.size, _BLOCK):
+        block = hops[start:start + _BLOCK + 1]
+        if (block[1:] < block[:-1]).any():
+            raise ValueError("the hops are not in ascending order")
     mark = _unreachable(hops)
-    histogram = _blocked_bincount(hops, mark + 1)
+    # The search keys take the hops' type, so the hops are not cast.
+    bounds = [*np.searchsorted(hops, np.arange(mark + 1, dtype=hops.dtype)
+                               ).tolist(), hops.size]
     buckets = []
-    for h in np.flatnonzero(histogram).tolist():
-        sel = np.empty(histogram[h])
-        pos = 0
-        for start in range(0, hops.size, _BLOCK):
-            picked = metres[start:start + _BLOCK][hops[start:start + _BLOCK]
-                                                  == h]
-            sel[pos:pos + picked.size] = picked
-            pos += picked.size
+    for h in np.flatnonzero(np.diff(bounds)).tolist():
+        sel = metres[bounds[h]:bounds[h + 1]]
         with np.errstate(over="ignore", invalid="ignore"):  # infinite metres
-            mean, std = float(sel.mean()), float(sel.std())
+            mean = float(sel.mean())
+            std = float(np.sqrt(_squares_sum(sel, mean) / sel.size))
         buckets.append(ProfileBucket(
             graph_distance=math.inf if h == mark else float(h),
             count=int(sel.size), mean_spatial=mean, std_spatial=std))
@@ -487,14 +560,16 @@ def measure(g: ConfrontGraph, baseline: int | None = None,
     d_max 0, one with no pair at all (fewer than two vertices) d_harm 0,
     and fewer than two located vertices give rho_d NaN.
 
-    The profile is taken first; rho_d then consumes the metres, which
-    nothing reads afterwards. Out of memory raises `GraphTooLarge`.
+    With `profile` the located pairs come in hop order, which rho_d does
+    not depend on. The profile is taken first; rho_d then consumes the
+    metres, which nothing reads afterwards. Out of memory raises
+    `GraphTooLarge`.
     """
     properties = g.property_count()
     coverage = properties / baseline if baseline else 0.0
     spread, rho = None, math.nan
     try:
-        pairs = pair_distances(g)
+        pairs = pair_distances(g, by_hop=profile)
         if pairs.located is not None:
             spread = distance_profile(*pairs.located) if profile else None
             rho = rank_correlation(*pairs.located)

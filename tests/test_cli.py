@@ -441,7 +441,7 @@ def test_stats_all_reports_an_empty_variant_as_a_zero_row(
                             for line in out.splitlines()[1:]], err)
 
 
-NOTE = "note: 15 data warnings (re-run with --warnings for details)\n"
+NOTE = "note: 14 data warnings (re-run with --warnings for details)\n"
 EMPTY = ("warning: graph 'RFW_k' is empty; reporting zeros\n"
          "warning: graph 'EFW_k' is empty; reporting zeros\n")
 UNLOCATED = ("warning: graph 'RFW_k' has fewer than 2 located vertices; "
@@ -582,7 +582,7 @@ def test_a_graph_out_of_memory_is_a_data_error(capsys, monkeypatch, db_files,
     nothing is written and no traceback is printed."""
     measured = []
 
-    def out_of_memory(g):
+    def out_of_memory(g, by_hop=False):
         measured.append(g)
         raise MemoryError
 

@@ -670,6 +670,17 @@ def test_a_surface_street_without_length_is_warned_of_and_unrankable():
         "street 'sq' has no length_m; cannot rank streets")
 
 
+def test_an_egal_relation_to_a_segmented_street_is_not_unassigned():
+    """An `Egal` relation binds no segment, so a segmented target is no
+    `unassigned-segment`."""
+    db = Database.from_parts(
+        [obj("s1", kind=ObjectKind.STREET, dim=L, length_m=10.0,
+             segments=(Segment("a"), Segment("b"))),
+         obj("s2", kind=ObjectKind.STREET, dim=L, length_m=5.0)],
+        [RelationRecord("r1", "s2", "s1", "Egal")])
+    assert validate_database(db) == []
+
+
 def test_validate_database_clean():
     db = Database.from_parts(
         [obj("p1"), obj("p2")], [RelationRecord("r1", "p1", "p2", "Juxta")])

@@ -692,7 +692,7 @@ def peak_bytes(function, *args):
 def large_located_pairs():
     """A street grid of 1,089 located vertices (592,416 pairs) with a
     few missing streets and a small detached block: the (hops, metres)
-    vectors of `pair_distances`."""
+    vectors of `pair_distances`, in hop order."""
     rnd = random.Random(11)
     side = 33
     coords = {i: (12.0 * (i % side) + rnd.random(),
@@ -703,7 +703,7 @@ def large_located_pairs():
              + [(i, i + side) for i in range(side * side - side)
                 if rnd.random() < 0.8 and i // side != 30])
     g = make_graph(edges, coords=coords)
-    pairs = metrics.pair_distances(g)
+    pairs = metrics.pair_distances(g, by_hop=True)
     assert pairs.located[0].size >= 500_000
     return g, pairs
 
@@ -724,11 +724,66 @@ def test_rank_correlation_peak_memory_per_pair(large_located_pairs):
 
 
 def test_distance_profile_peak_memory_per_pair(large_located_pairs):
-    """`distance_profile` holds one bucket mask, one byte per pair, and
-    one bucket's metres at a time."""
+    """`distance_profile` reads each bucket as a slice of the metres and
+    holds blocks only: no bucket copy and no mask of the pairs."""
     _, pairs = large_located_pairs
     hops, metres = pairs.located
-    assert peak_bytes(distance_profile, hops, metres) < 8 * hops.size
+    assert peak_bytes(distance_profile, hops, metres) < 1 * hops.size
+
+
+@st.composite
+def hop_ordered_pairs(draw):
+    """(hops, metres): non-decreasing uint8 hops, some at the unreachable
+    mark, over metres that may tie and may be +inf; sizes from one pair
+    to several leaves of the blocked sum, its edges included."""
+    size = draw(st.integers(1, 3000) | st.integers(3000, 60_000)
+                | st.sampled_from((8, 127, 128, 129, 8191, 8192, 8193,
+                                   16_384, 16_392, 5 * 8192 + 13)))
+    rnd = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    buckets = draw(st.sampled_from((1, 2, 5, 20)))
+    hops = np.sort(rnd.integers(0, buckets, size)).astype(np.uint8)
+    if draw(st.booleans()):
+        hops[size - size // 4:] = np.iinfo(np.uint8).max
+    if draw(st.booleans()):  # ties
+        metres = rnd.choice((0.0, 0.5, 3.0, 1e300), size)
+    else:
+        metres = rnd.random(size) * 10.0 ** draw(st.integers(-3, 6))
+    metres[rnd.random(size) < draw(st.sampled_from((0.0, 0.001, 0.5)))] = (
+        math.inf)
+    return hops, metres
+
+
+@settings(deadline=None, max_examples=60)
+@given(hop_ordered_pairs(), st.sampled_from((128, 256, 1 << 13)))
+def test_profile_mean_and_std_equal_numpy_bit_for_bit(pairs, leaf):
+    """Each bucket's mean and std, read from its slice of the metres and
+    the std summed leaf by leaf at numpy's split points, are the bits of
+    `np.mean` and `np.std` of a copy of the bucket. Leaves smaller than
+    the default `_KEY_BLOCK` put more split points above the leaves."""
+    hops, metres = pairs
+    with mock.patch.object(metrics, "_KEY_BLOCK", leaf):
+        profile = distance_profile(hops, metres)
+    present = np.flatnonzero(np.bincount(hops, minlength=256)).tolist()
+    assert len(profile.buckets) == len(present)
+    for h, bucket in zip(present, profile.buckets):
+        values = metres[hops == h]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = np.mean(values), np.std(values)
+        assert bucket.graph_distance == (math.inf if h == 255 else h)
+        assert bucket.count == values.size
+        assert same_bits(bucket.mean_spatial, float(mean))
+        assert same_bits(bucket.std_spatial, float(std))
+
+
+@pytest.mark.parametrize("descent", (1, 2, metrics._BLOCK - 1, metrics._BLOCK,
+                                     metrics._BLOCK + 1, 70_000 - 1))
+def test_distance_profile_refuses_hops_out_of_order(descent):
+    """Hops in pair order would give a wrong profile without a word, so
+    a descent anywhere, a block edge included, raises `ValueError`."""
+    hops = np.ones(70_000, np.uint8)
+    hops[descent:] = 0
+    with pytest.raises(ValueError, match="not in ascending order"):
+        distance_profile(hops, np.ones(hops.size))
 
 
 @pytest.mark.parametrize("profile", (False, True))
@@ -808,7 +863,7 @@ def test_measure_over_the_argsort_step_equals_the_oracle():
                   rnd.uniform(-1, 1) * 2.0 ** rnd.randint(-200, 200))
               for i in range(n)}
     g = make_graph([(i, i + 1) for i in range(n - 1)], coords=coords)
-    hops, metres = metrics.pair_distances(g).located
+    hops, metres = metrics.pair_distances(g, by_hop=True).located
     assert hops.dtype == np.uint16
     with mock.patch.object(metrics, "_argsort_keys",
                            wraps=metrics._argsort_keys) as step:
@@ -863,7 +918,8 @@ def test_measure_gives_the_summarize_row_and_profile_from_one_pass(
     if located < 2:
         assert math.isnan(row.rho_d)
     else:
-        assert profile == distance_profile(*metrics.pair_distances(g).located)
+        assert profile == distance_profile(
+            *metrics.pair_distances(g, by_hop=True).located)
     assert metrics.measure(g, 10)[1] is None
 
 
@@ -1022,6 +1078,35 @@ def test_pair_vectors_equal_the_row_fill_of_scipy(seed):
     assert np.array_equal(
         float_hops(located_hops),
         want[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)])
+
+
+@pytest.mark.parametrize("block", (1, 7, 64, 1 << 13))
+@pytest.mark.parametrize("seed", range(6))
+def test_hop_ordered_pairs_are_the_stable_hop_sort_of_scipy(seed, block):
+    """With `by_hop`, the located hops are scipy's located hops in
+    ascending order, and the metres are the pair-order metres in the
+    stable sort of those hops: each bucket keeps its pairs' order. Small
+    blocks of rows put bucket runs across block edges; a located path
+    of 300 vertices gives uint16 hops."""
+    rnd = random.Random(seed)
+    g = (scrambled_graph(seed, rnd.randint(2, 400),
+                         rnd.choice((0.005, 0.01, 0.03)), rnd.randint(0, 3))
+         if seed else
+         make_graph([(i, i + 1) for i in range(299)], n=301,
+                    coords={i: (float(i % 17), float(i // 17))
+                            for i in range(301)}))
+    index = g.vertex_index()
+    idx = [index[v.id] for v in g.vertices.values() if v.coord is not None]
+    want = scipy_hops(g)[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)]
+    metres = metrics.pair_distances(g).located[1]
+    with mock.patch.object(metrics, "_KEY_BLOCK", block):
+        pairs = metrics.pair_distances(g, by_hop=True)
+    hops, by_hop = pairs.located
+    order = np.argsort(want, kind="stable")
+    assert np.array_equal(float_hops(hops), want[order])
+    assert np.array_equal(by_hop.view(np.uint64),
+                          metres[order].view(np.uint64))
+    assert np.array_equal(pairs.histogram, metrics.pair_distances(g).histogram)
 
 
 # Signed zeros, negatives, and coordinates whose differences overflow.
